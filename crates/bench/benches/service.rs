@@ -1,14 +1,13 @@
 //! Service-path throughput: loadcast ingest + forecast, and predictd
 //! request handling end to end (encode → dispatch → model → encode),
-//! measured through the same [`Service::handle_line`] entry the TCP and
-//! stdio transports call.
-//!
-//! [`Service::handle_line`]: predictd::Service::handle_line
+//! measured through the same [`respond_line`] entry the TCP and stdio
+//! transports call.
 
 use contention_model::units::{f64_from_usize, secs};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use loadcast::{LoadMonitor, MonitorConfig};
-use predictd::{Service, ServiceConfig};
+use predictd::reactor::respond_line;
+use predictd::{Affinity, Service, ServiceConfig};
 
 /// A deterministic sawtooth load trace: exercises every forecaster
 /// without ever being constant (no fast paths).
@@ -37,13 +36,13 @@ fn loadcast_ingest_forecast(c: &mut Criterion) {
 /// client would send.
 fn warmed_service() -> (Service, String, String) {
     let svc = Service::with_default_predictor(ServiceConfig::default());
+    let mut out = String::new();
     for k in 0..8 {
         let line = format!(
             "{{\"kind\":\"load_report\",\"machine\":\"m0\",\"at\":{k}.0,\
              \"load\":2.0,\"comm_frac\":0.4}}"
         );
-        let (_, shutdown) = svc.handle_line(&line);
-        assert!(!shutdown);
+        assert!(!respond_line(&svc, &line, &mut out, &mut Affinity::new()));
     }
     let report = "{\"kind\":\"load_report\",\"machine\":\"m0\",\"at\":9.0,\
                   \"load\":2.0,\"comm_frac\":0.4}"
@@ -58,11 +57,20 @@ fn warmed_service() -> (Service, String, String) {
 
 fn predictd_requests(c: &mut Criterion) {
     let mut g = c.benchmark_group("predictd");
+    // One affinity per service: replicas mirror one service's shards.
+    let handle = |svc: &Service, line: &str, out: &mut String, aff: &mut Affinity| {
+        out.clear();
+        respond_line(svc, line, out, aff)
+    };
     let (svc, report, _) = warmed_service();
-    g.bench_function("load_report", |b| b.iter(|| black_box(svc.handle_line(black_box(&report)))));
+    let (mut out, mut aff) = (String::new(), Affinity::new());
+    g.bench_function("load_report", |b| {
+        b.iter(|| black_box(handle(&svc, black_box(&report), &mut out, &mut aff)))
+    });
     let (svc, _, predict) = warmed_service();
+    let mut aff = Affinity::new();
     g.bench_function("predict_warm_cache", |b| {
-        b.iter(|| black_box(svc.handle_line(black_box(&predict))))
+        b.iter(|| black_box(handle(&svc, black_box(&predict), &mut out, &mut aff)))
     });
     g.finish();
 }

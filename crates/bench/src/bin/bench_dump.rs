@@ -10,11 +10,10 @@
 //!
 //! A second file, `BENCH_service.json`, covers the online service path:
 //! loadcast ingest+forecast and `predictd` request throughput
-//! (`load_report` and warm-cache `predict`) through `handle_line`, plus
-//! a concurrency sweep over real TCP — a single-threaded closed-loop
-//! baseline against the pooled, pipelined server at 1/4/16 connections,
-//! and the evented engine in both the JSON and binary codecs at the
-//! same connection counts, client-observed latency quantiles included.
+//! (`load_report` and warm-cache `predict`) through the reactor's line
+//! helper, plus a concurrency sweep over real TCP — the reactor in both
+//! the JSON and binary codecs at 1/4/16 pipelined connections,
+//! client-observed latency quantiles included.
 
 use bench::paragon_predictor;
 use contention_model::dataset::DataSet;
@@ -197,11 +196,12 @@ fn throughput(ns_per_op: f64) -> Value {
 
 /// The online service path: loadcast ingest+forecast over a 64-sample
 /// sawtooth, and predictd `load_report` / warm-cache `predict` requests
-/// through the same `handle_line` entry the transports use.
+/// through the same line helper the transports use.
 fn service_report() -> Value {
     use contention_model::units::{f64_from_usize, secs};
     use loadcast::{LoadMonitor, MonitorConfig};
-    use predictd::{Service, ServiceConfig};
+    use predictd::reactor::respond_line;
+    use predictd::{Affinity, Service, ServiceConfig};
 
     let ingest = time_ns(2_000, || {
         let mut m = LoadMonitor::new(MonitorConfig::default());
@@ -218,12 +218,13 @@ fn service_report() -> Value {
                         \"task\":{\"dcomp_sun\":30.0,\"t_paragon\":6.0,\
                         \"to_backend\":[{\"messages\":10,\"words\":2000}],\
                         \"from_backend\":[{\"messages\":1,\"words\":1000}]},\"j_words\":500}";
-    let load_report = time_ns(20_000, || {
-        black_box(svc.handle_line(black_box(report_line)));
-    });
-    let predict = time_ns(20_000, || {
-        black_box(svc.handle_line(black_box(predict_line)));
-    });
+    let (mut out, mut aff) = (String::new(), Affinity::new());
+    let mut handle = |line: &str| {
+        out.clear();
+        black_box(respond_line(&svc, black_box(line), &mut out, &mut aff));
+    };
+    let load_report = time_ns(20_000, || handle(report_line));
+    let predict = time_ns(20_000, || handle(predict_line));
 
     Value::Map(vec![
         ("loadcast_ingest_forecast_64".to_string(), throughput(ingest)),
@@ -252,22 +253,14 @@ fn sweep_point(conns: usize, pipeline: usize, s: &bench::loadgen::Summary) -> Va
 }
 
 /// The service headline numbers: mixed predict/load_report traffic
-/// against (a) the single-threaded server, one closed-loop connection —
-/// the PR 3 configuration — (b) the pooled, sharded server with
-/// pipelined clients at 1, 4, and 16 connections, and (c) the evented
-/// engine (per-core epoll loops, `SO_REUSEPORT`, shard-affine replicas)
-/// in both codecs at the same connection counts, all over real TCP on
-/// loopback. `speedup_16_vs_baseline` tracks the PR 4 acceptance
-/// number; `binary_evented_16_vs_pooled_json_4` is this PR's — the
-/// evented binary engine at 16 connections against the pooled JSON
-/// engine at its 4-connection peak.
+/// against the reactor (per-core epoll loops, `SO_REUSEPORT`,
+/// shard-affine replicas) in both codecs with pipelined clients at 1, 4,
+/// and 16 connections, all over real TCP on loopback.
 fn concurrency_sweep() -> Value {
     use bench::loadgen::{drive, Codec, GenConfig, Mix};
     use predictd::proto::Request;
-    use predictd::{
-        serve, serve_pool, Client, EventedServer, ServerConfig, Service, ServiceConfig,
-    };
-    use std::net::TcpListener;
+    use predictd::{Client, Reactor, ServerConfig, Service, ServiceConfig};
+    use std::sync::atomic::AtomicBool;
     use std::thread;
 
     const REQUESTS_PER_CONN: usize = 2000;
@@ -287,77 +280,15 @@ fn concurrency_sweep() -> Value {
         best.expect("at least one trial")
     };
 
-    // Baseline: sequential accept loop, one connection, one request in
-    // flight — every request pays a full write/read round trip.
-    let baseline = {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
-        let handle = thread::spawn(move || {
-            let service = Service::with_default_predictor(ServiceConfig {
-                shards: 1,
-                ..ServiceConfig::default()
-            });
-            serve(&listener, &service).expect("serve");
-        });
-        let cfg = GenConfig {
-            conns: 1,
-            requests_per_conn: REQUESTS_PER_CONN,
-            pipeline: 1,
-            mix: Mix::default(),
-            codec: Codec::Json,
-        };
-        let summary = best_run(addr, &cfg);
-        let mut client = Client::connect(addr).expect("shutdown connection");
-        client.request(&Request::Shutdown).expect("shutdown");
-        handle.join().expect("baseline server exits");
-        summary
-    };
-
-    // The concurrent server: worker pool + shards, pipelined clients.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
+    let cfg = ServerConfig { workers: 4, ..ServerConfig::default() };
+    let reactor = Reactor::bind("127.0.0.1:0", cfg).expect("bind reactor");
+    let addr = reactor.local_addr();
     let handle = thread::spawn(move || {
         let service = Service::with_default_predictor(ServiceConfig::default());
-        let cfg = ServerConfig { workers: 4, ..ServerConfig::default() };
-        serve_pool(&listener, &service, &cfg).expect("serve_pool");
-    });
-    let mut points = Vec::new();
-    let mut speedup_16 = 0.0;
-    let mut pooled_json_4 = 0.0;
-    for conns in [1usize, 4, 16] {
-        let cfg = GenConfig {
-            conns,
-            requests_per_conn: REQUESTS_PER_CONN,
-            pipeline: PIPELINE,
-            mix: Mix::default(),
-            codec: Codec::Json,
-        };
-        let summary = best_run(addr, &cfg);
-        if conns == 16 {
-            speedup_16 = summary.requests_per_sec / baseline.requests_per_sec;
-        }
-        if conns == 4 {
-            pooled_json_4 = summary.requests_per_sec;
-        }
-        points.push(sweep_point(conns, PIPELINE, &summary));
-    }
-    let mut client = Client::connect(addr).expect("shutdown connection");
-    client.request(&Request::Shutdown).expect("shutdown");
-    drop(client);
-    handle.join().expect("pooled server exits");
-
-    // The evented engine: per-worker epoll loops over SO_REUSEPORT
-    // listeners, swept in both codecs over the same traffic.
-    let server = EventedServer::bind("127.0.0.1:0".parse().expect("loopback addr"), 4)
-        .expect("bind evented");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || {
-        let service = Service::with_default_predictor(ServiceConfig::default());
-        server.run(&service, &ServerConfig::default()).expect("evented serve");
+        reactor.run(&service, &AtomicBool::new(false)).expect("reactor run");
     });
     let mut evented_json = Vec::new();
     let mut evented_binary = Vec::new();
-    let mut binary_16 = 0.0;
     for codec in [Codec::Json, Codec::Binary] {
         for conns in [1usize, 4, 16] {
             let cfg = GenConfig {
@@ -367,38 +298,26 @@ fn concurrency_sweep() -> Value {
                 mix: Mix::default(),
                 codec,
             };
-            let summary = best_run(addr, &cfg);
+            let point = sweep_point(conns, PIPELINE, &best_run(addr, &cfg));
             match codec {
-                Codec::Json => evented_json.push(sweep_point(conns, PIPELINE, &summary)),
-                Codec::Binary => {
-                    if conns == 16 {
-                        binary_16 = summary.requests_per_sec;
-                    }
-                    evented_binary.push(sweep_point(conns, PIPELINE, &summary));
-                }
+                Codec::Json => evented_json.push(point),
+                Codec::Binary => evented_binary.push(point),
             }
         }
     }
     let mut client = Client::connect_binary(addr).expect("shutdown connection");
     client.request(&Request::Shutdown).expect("shutdown");
     drop(client);
-    handle.join().expect("evented server exits");
+    handle.join().expect("reactor exits");
 
     Value::Map(vec![
-        ("baseline_1conn_closed_loop".to_string(), sweep_point(1, 1, &baseline)),
-        ("pooled_workers4".to_string(), Value::Seq(points)),
         ("evented_workers4_json".to_string(), Value::Seq(evented_json)),
         ("evented_workers4_binary".to_string(), Value::Seq(evented_binary)),
-        ("speedup_16_vs_baseline".to_string(), Value::Float(speedup_16)),
-        (
-            "binary_evented_16_vs_pooled_json_4".to_string(),
-            Value::Float(binary_16 / pooled_json_4.max(1e-9)),
-        ),
     ])
 }
 
 /// Federation overhead per hop: the same mixed binary traffic against
-/// one monolithic evented predictd, then against one `predictgw`
+/// one monolithic predictd, then against one `predictgw`
 /// fronting 1, 2, and 4 backends. Every gateway request pays at least
 /// one extra loopback hop (and `load_report` pays one per backend, by
 /// broadcast), so `gateway_1backend_vs_monolithic` is the per-hop cost
@@ -408,8 +327,8 @@ fn concurrency_sweep() -> Value {
 fn gateway_sweep() -> Value {
     use bench::loadgen::{drive, Codec, GenConfig, Mix};
     use predictd::proto::Request;
-    use predictd::{Client, EventedServer, ServerConfig, Service, ServiceConfig};
-    use predictgw::{Gateway, GatewayConfig, GatewayServer};
+    use predictd::{Client, Reactor, ServerConfig, Service, ServiceConfig};
+    use predictgw::{Gateway, GatewayConfig};
     use std::sync::atomic::AtomicBool;
     use std::thread;
 
@@ -425,6 +344,7 @@ fn gateway_sweep() -> Value {
         mix: Mix::default(),
         codec: Codec::Binary,
     };
+    let scfg = ServerConfig { workers: 2, ..ServerConfig::default() };
     let best_run = |addr| {
         let mut best: Option<bench::loadgen::Summary> = None;
         for _ in 0..TRIALS {
@@ -438,11 +358,11 @@ fn gateway_sweep() -> Value {
     let spawn_backend = || {
         let service: &'static Service =
             Box::leak(Box::new(Service::with_default_predictor(ServiceConfig::default())));
-        let scfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-        let server =
-            EventedServer::bind("127.0.0.1:0".parse().expect("loopback addr"), 2).expect("bind");
-        let addr = server.local_addr();
-        let handle = thread::spawn(move || server.run(service, scfg).expect("backend run"));
+        let reactor = Reactor::bind("127.0.0.1:0", scfg).expect("bind");
+        let addr = reactor.local_addr();
+        let handle = thread::spawn(move || {
+            reactor.run(service, &AtomicBool::new(false)).expect("backend run")
+        });
         (addr, handle)
     };
     let shutdown = |addr| {
@@ -473,13 +393,11 @@ fn gateway_sweep() -> Value {
             })
             .expect("gateway"),
         ));
-        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let scfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-        let server = GatewayServer::bind("127.0.0.1:0".parse().expect("loopback addr"), 2)
-            .expect("bind gateway");
-        let gw_addr = server.local_addr();
-        let gw_handle =
-            thread::spawn(move || server.run(gateway, scfg, stop).expect("gateway run"));
+        let reactor = Reactor::bind("127.0.0.1:0", scfg).expect("bind gateway");
+        let gw_addr = reactor.local_addr();
+        let gw_handle = thread::spawn(move || {
+            reactor.run(gateway, &AtomicBool::new(false)).expect("gateway run")
+        });
 
         let summary = best_run(gw_addr);
         if n == 1 {

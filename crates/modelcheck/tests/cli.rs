@@ -544,12 +544,12 @@ fn wire_taint_fires_when_the_journal_replay_cap_is_deleted() {
 /// scan.
 #[test]
 fn event_loop_fires_when_sleep_is_planted_in_the_real_loop() {
-    let engine = fs::read_to_string(repo_root().join("crates/predictd/src/server_evented.rs"))
-        .expect("server_evented");
+    let engine =
+        fs::read_to_string(repo_root().join("crates/predictd/src/reactor.rs")).expect("reactor");
 
     // The shipped engine is clean under the event-loop rule.
     let (code, stdout) = scan_temp_tree("ev-clean", "event-loop", &[("engine.rs", &engine)]);
-    assert_eq!(code, 0, "shipped server_evented.rs must scan clean:\n{stdout}");
+    assert_eq!(code, 0, "shipped reactor.rs must scan clean:\n{stdout}");
 
     // Plant a sleep right after the loop sets up its epoll.
     let anchor = "let epoll = Epoll::new()?;";
@@ -562,4 +562,40 @@ fn event_loop_fires_when_sleep_is_planted_in_the_real_loop() {
     assert!(stdout.contains("event-loop"), "{stdout}");
     assert!(stdout.contains("sleep"), "{stdout}");
     assert!(stdout.contains("event_loop"), "the finding names the entry point: {stdout}");
+}
+
+/// The gateway half of event-loop reach: the reactor calls the gateway
+/// through its `Handler` impl, so deleting the justification above the
+/// sequencing mutex in `Gateway::seq_lock` must fail the scan over the
+/// real reactor plus the real `gateway.rs`.
+#[test]
+fn event_loop_reaches_the_gateway_sequencing_lock_through_the_reactor_handler() {
+    let root = repo_root();
+    let reactor = fs::read_to_string(root.join("crates/predictd/src/reactor.rs")).expect("reactor");
+    let gateway =
+        fs::read_to_string(root.join("crates/predictgw/src/gateway.rs")).expect("gateway.rs");
+
+    let (code, stdout) = scan_temp_tree(
+        "ev-gw-clean",
+        "event-loop",
+        &[("reactor.rs", &reactor), ("gateway.rs", &gateway)],
+    );
+    assert_eq!(code, 0, "shipped reactor.rs + gateway.rs must scan clean:\n{stdout}");
+
+    // Delete the allow above `seq_lock`'s `.lock(` and nothing else.
+    let allow = "        // modelcheck-allow: event-loop — the sequencing mutex is the\n\
+                 \x20       // designed serialization point for journal writes; critical\n\
+                 \x20       // sections are bounded (one append + broadcast).\n\
+                 \x20       self.seq.lock()";
+    let mutated = gateway.replacen(allow, "        self.seq.lock()", 1);
+    assert_ne!(mutated, gateway, "the seq_lock allow moved; update this test");
+
+    let (code, stdout) = scan_temp_tree(
+        "ev-gw-inj",
+        "event-loop",
+        &[("reactor.rs", &reactor), ("gateway.rs", &mutated)],
+    );
+    assert_eq!(code, 1, "an unjustified sequencing lock must fail the scan:\n{stdout}");
+    assert!(stdout.contains("event-loop"), "{stdout}");
+    assert!(stdout.contains("seq_lock"), "the finding names the locking fn: {stdout}");
 }

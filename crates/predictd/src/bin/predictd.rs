@@ -2,50 +2,40 @@
 //!
 //! ```text
 //! predictd [--listen ADDR] [--port-file PATH] [--stdio]
-//!          [--engine pool|evented] [--workers N] [--shards N]
+//!          [--workers N] [--shards N]
 //!          [--read-timeout-secs S] [--max-line-bytes N] [--max-frame-bytes N]
 //!          [--window N] [--horizon-secs S] [--frac F] [--max-rank N]
 //! ```
 //!
-//! With `--listen` (default `127.0.0.1:0`) the bound address is printed
-//! to stdout (and to `--port-file` when given) so callers can find an
-//! OS-assigned port. With `--stdio` the daemon speaks the protocol on
-//! stdin/stdout instead — handy for debugging and piping.
+//! With `--listen` (default `127.0.0.1:0`, IPv4 only) the bound address
+//! is printed to stdout (and to `--port-file` when given) so callers can
+//! find an OS-assigned port. With `--stdio` the daemon speaks the
+//! protocol on stdin/stdout instead — handy for debugging and piping.
 //!
-//! `--engine pool` (the default) serves blocking connections from a
-//! fixed worker pool; `--engine evented` runs one nonblocking epoll
-//! event loop per worker over `SO_REUSEPORT` listeners, each with a
-//! per-core replica of the machine state (see `server_evented`). Both
-//! engines speak newline-JSON and the length-prefixed binary codec,
-//! sniffed per connection from the first byte.
+//! Connections are served by the reactor: one nonblocking epoll event
+//! loop per worker over `SO_REUSEPORT` listeners, each with a per-core
+//! replica of the machine state. Every connection speaks newline-JSON
+//! or the length-prefixed binary codec, sniffed from its first byte.
 //!
-//! `--workers` sizes the connection worker pool or event-loop count
-//! (default: available parallelism, clamped to 8); `--shards` sizes the
-//! machine-state shard count (default 8). `--workers 1` reproduces the
-//! fully serialized single-threaded behavior. `--max-frame-bytes` caps
-//! a single binary frame (default 1 MiB), as `--max-line-bytes` caps a
-//! JSON line.
+//! `--workers` sets the event-loop count (default: available
+//! parallelism, clamped to 8); `--shards` sizes the machine-state shard
+//! count (default 8). `--read-timeout-secs` is the stall timeout: a
+//! connection holding a partial request or unsent replies that makes no
+//! progress for that long is closed (0 disables it). `--max-frame-bytes`
+//! caps a single binary frame (default 1 MiB), as `--max-line-bytes`
+//! caps a JSON line.
 
-use std::net::TcpListener;
 use std::process::ExitCode;
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 use contention_model::units::{Prob, Seconds};
-use predictd::{serve_pool, serve_stdio, EventedServer, ServerConfig, Service, ServiceConfig};
-
-/// Which connection-serving engine to run.
-enum Engine {
-    /// Blocking I/O, fixed worker pool (the default).
-    Pool,
-    /// Nonblocking epoll event loops, one per worker, `SO_REUSEPORT`.
-    Evented,
-}
+use predictd::{serve_stdio, Reactor, ServerConfig, Service, ServiceConfig};
 
 struct Args {
     listen: String,
     port_file: Option<String>,
     stdio: bool,
-    engine: Engine,
     cfg: ServiceConfig,
     server: ServerConfig,
 }
@@ -55,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         listen: "127.0.0.1:0".to_string(),
         port_file: None,
         stdio: false,
-        engine: Engine::Pool,
         cfg: ServiceConfig::default(),
         server: ServerConfig::default(),
     };
@@ -66,15 +55,17 @@ fn parse_args() -> Result<Args, String> {
             "--listen" => args.listen = value("--listen")?,
             "--port-file" => args.port_file = Some(value("--port-file")?),
             "--stdio" => args.stdio = true,
-            "--engine" => {
-                args.engine = match value("--engine")?.as_str() {
-                    "pool" => Engine::Pool,
-                    "evented" => Engine::Evented,
-                    other => {
-                        return Err(format!("--engine must be pool or evented, got {other:?}"))
-                    }
+            // The reactor is the only engine; the flag stays accepted
+            // for scripts written when there was a choice.
+            "--engine" => match value("--engine")?.as_str() {
+                "evented" => {}
+                "pool" => {
+                    return Err("--engine pool: the pooled engine was removed; \
+                                      predictd always runs the evented reactor"
+                        .to_string())
                 }
-            }
+                other => return Err(format!("--engine: unknown engine {other:?}")),
+            },
             "--workers" => {
                 args.server.workers = parse_num(&value("--workers")?, "--workers")?;
                 if args.server.workers == 0 {
@@ -92,9 +83,8 @@ fn parse_args() -> Result<Args, String> {
                 if !raw.is_finite() || raw < 0.0 {
                     return Err("--read-timeout-secs must be finite and non-negative".to_string());
                 }
-                let timeout = if raw == 0.0 { None } else { Some(Duration::from_secs_f64(raw)) };
-                args.server.read_timeout = timeout;
-                args.server.write_timeout = timeout;
+                args.server.stall_timeout =
+                    if raw == 0.0 { None } else { Some(Duration::from_secs_f64(raw)) };
             }
             "--max-line-bytes" => {
                 args.server.max_line_bytes =
@@ -141,21 +131,9 @@ fn parse_num<T: std::str::FromStr>(raw: &str, name: &str) -> Result<T, String> {
 }
 
 const USAGE: &str = "usage: predictd [--listen ADDR] [--port-file PATH] [--stdio] \
-[--engine pool|evented] [--workers N] [--shards N] [--read-timeout-secs S] \
+[--workers N] [--shards N] [--read-timeout-secs S] \
 [--max-line-bytes N] [--max-frame-bytes N] \
 [--window N] [--horizon-secs S] [--frac F] [--max-rank N]";
-
-fn announce(args: &Args, bound: std::net::SocketAddr, engine: &str) -> Result<(), String> {
-    println!(
-        "listening on {bound} ({engine} engine, {} workers, {} shards)",
-        args.server.workers, args.cfg.shards
-    );
-    if let Some(path) = &args.port_file {
-        std::fs::write(path, format!("{bound}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(())
-}
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
@@ -163,29 +141,15 @@ fn run() -> Result<(), String> {
     if args.stdio {
         return serve_stdio(&service).map_err(|e| format!("stdio transport failed: {e}"));
     }
-    match args.engine {
-        Engine::Pool => {
-            let listener = TcpListener::bind(&args.listen)
-                .map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
-            let bound =
-                listener.local_addr().map_err(|e| format!("cannot read bound address: {e}"))?;
-            announce(&args, bound, "pool")?;
-            serve_pool(&listener, &service, &args.server).map_err(|e| format!("serve failed: {e}"))
-        }
-        Engine::Evented => {
-            use std::net::ToSocketAddrs;
-            let addr = args
-                .listen
-                .to_socket_addrs()
-                .map_err(|e| format!("cannot resolve {}: {e}", args.listen))?
-                .find(|a| a.is_ipv4())
-                .ok_or_else(|| format!("{}: no IPv4 address (evented needs one)", args.listen))?;
-            let server = EventedServer::bind(addr, args.server.workers)
-                .map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
-            announce(&args, server.local_addr(), "evented")?;
-            server.run(&service, &args.server).map_err(|e| format!("serve failed: {e}"))
-        }
+    let reactor = Reactor::bind(args.listen.as_str(), args.server)
+        .map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
+    let bound = reactor.local_addr();
+    println!("listening on {bound} ({} workers, {} shards)", args.server.workers, args.cfg.shards);
+    if let Some(path) = &args.port_file {
+        std::fs::write(path, format!("{bound}\n"))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
+    reactor.run(&service, &AtomicBool::new(false)).map_err(|e| format!("serve failed: {e}"))
 }
 
 fn main() -> ExitCode {

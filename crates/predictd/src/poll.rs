@@ -1,4 +1,4 @@
-//! Minimal epoll/socket shim for the evented server — raw `extern "C"`
+//! Minimal epoll/socket shim for the reactor — raw `extern "C"`
 //! declarations of the half-dozen Linux syscalls the event loop needs,
 //! keeping the crate's zero-heavy-deps discipline (no `libc` crate,
 //! no async runtime).
@@ -8,8 +8,8 @@
 //! is safe: file descriptors are owned [`OwnedFd`]s closed on drop, and
 //! every syscall result is translated into [`std::io::Error`].
 //!
-//! Linux-only by construction (predictd's evented engine is too); the
-//! blocking pool engine remains the portable fallback.
+//! Linux-only by construction, and so are both daemons' TCP transports
+//! (`--stdio` is the portable one).
 
 use std::io;
 use std::net::{SocketAddrV4, TcpListener, TcpStream};

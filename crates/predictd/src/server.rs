@@ -1,57 +1,27 @@
-//! Transport: newline-delimited JSON over TCP or stdio.
+//! Transport configuration, plus the stdio transport.
 //!
-//! The daemon is std-only but no longer single-threaded: an accept
-//! loop hands connections to a fixed pool of worker threads (see
-//! [`serve_pool`]), each of which serves its connection sequentially
-//! with reused line/response buffers. The sharded [`Service`] behind
-//! the pool takes `&self`, so workers never serialize on the service as
-//! a whole — only on the one shard a request's machine routes to.
-//!
-//! **Connection hygiene.** Every connection gets a read/write timeout
-//! and an oversized-line cap ([`ServerConfig`]): a stuck or trickling
-//! client is dropped when the timeout fires (freeing its worker), while
-//! an oversized request line is answered with a clean JSON `error`
-//! response — the rest of the line is discarded and the connection
-//! stays up.
-//!
-//! **Syscall batching.** Responses are serialized into a per-connection
-//! buffer and written out only when no further complete request is
-//! already buffered, so a pipelined client gets one `write(2)` per
-//! burst instead of one per line — the dominant cost at small request
-//! sizes. A ping-pong client still sees one write per request.
-//!
-//! A connection-level I/O error drops that connection and the pool
-//! keeps serving. Only an explicit `shutdown` request (or EOF on
-//! stdio) stops the daemon.
+//! TCP connections are served by the [`crate::reactor`]; this module
+//! holds the knobs it runs with and the newline-JSON loop over
+//! stdin/stdout, which decodes through the same line helper.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::io::{self, BufRead, Write};
 use std::thread;
 use std::time::Duration;
 
-use crate::proto::Response;
+use crate::reactor::{respond_line, Handler};
 use crate::service::Service;
-
-/// Read buffer per connection; also the pipelining window the syscall
-/// batching can see at once.
-const READ_BUF_BYTES: usize = 32 * 1024;
-
-/// Flush the response buffer early once it grows past this, so a deep
-/// pipeline cannot balloon per-connection memory.
-const FLUSH_BYTES: usize = 256 * 1024;
 
 /// Transport-level tuning for the TCP server.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads serving accepted connections (clamped to ≥ 1).
+    /// Event loops, one per thread, each with its own listener
+    /// (clamped to ≥ 1).
     pub workers: usize,
-    /// Per-connection read timeout; a connection idle past this is
-    /// dropped so it cannot pin a worker. `None` waits forever.
-    pub read_timeout: Option<Duration>,
-    /// Per-connection write timeout against unread response backlog.
-    pub write_timeout: Option<Duration>,
+    /// How long a connection may hold a partial request or unsent reply
+    /// bytes without any read or write progress before it is closed. An
+    /// idle connection with nothing buffered is never closed. `None`
+    /// waits forever.
+    pub stall_timeout: Option<Duration>,
     /// Longest accepted request line, bytes. Longer lines are answered
     /// with a JSON `error` (and discarded), not a disconnect.
     pub max_line_bytes: usize,
@@ -66,8 +36,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: default_workers(),
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
+            stall_timeout: Some(Duration::from_secs(30)),
             max_line_bytes: 1 << 20,
             max_frame_bytes: 1 << 20,
         }
@@ -75,338 +44,25 @@ impl Default for ServerConfig {
 }
 
 /// Default worker count: the machine's available parallelism, clamped
-/// to [1, 8] — request handlers are microseconds, so a few workers
+/// to [1, 8] — request handlers are microseconds, so a few event loops
 /// cover a lot of connections.
 fn default_workers() -> usize {
     thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1).clamp(1, 8)
-}
-
-/// Serves connections from `listener` sequentially on the calling
-/// thread (the single-threaded baseline: one worker, no pool) until a
-/// `shutdown` request. Equivalent to [`serve_pool`] with one worker.
-pub fn serve(listener: &TcpListener, service: &Service) -> io::Result<()> {
-    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
-    for stream in listener.incoming() {
-        match stream {
-            Ok(conn) => {
-                if serve_conn(conn, service, &cfg) {
-                    return Ok(());
-                }
-            }
-            // A failed accept is transient (e.g. the peer vanished
-            // between SYN and accept); keep listening.
-            Err(_) => continue,
-        }
-    }
-    Ok(())
-}
-
-/// Serves connections from `listener` on a fixed pool of
-/// `cfg.workers` threads until a `shutdown` request. The accept loop
-/// runs on the calling thread; each accepted connection is dispatched
-/// whole to one worker (requests on a connection are handled in
-/// order). Returns once every worker has drained.
-pub fn serve_pool(listener: &TcpListener, service: &Service, cfg: &ServerConfig) -> io::Result<()> {
-    let local = listener.local_addr()?;
-    let shutdown = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Mutex::new(rx);
-    thread::scope(|scope| {
-        for _ in 0..cfg.workers.max(1) {
-            scope.spawn(|| loop {
-                // Hold the receiver lock only to pull one connection.
-                let conn = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                let Ok(conn) = conn else { return };
-                // One-way shutdown latch: release on the store,
-                // acquire on every load. The self-connect wake lands
-                // after the store through the kernel, so an acquire
-                // load that sees `true` also sees everything the
-                // storing worker published — no total order needed.
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if serve_conn(conn, service, cfg) {
-                    shutdown.store(true, Ordering::Release);
-                    // Unblock the accept loop so it can observe the flag.
-                    let _ = TcpStream::connect(local);
-                    return;
-                }
-            });
-        }
-        for stream in listener.incoming() {
-            // Acquire pairs with the workers' release store; the wake
-            // conn only arrives after that store.
-            if shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            match stream {
-                Ok(conn) => {
-                    if tx.send(conn).is_err() {
-                        break;
-                    }
-                }
-                // Transient accept failure; keep listening.
-                Err(_) => continue,
-            }
-        }
-        // Dropping the sender wakes every idle worker out of recv().
-        drop(tx);
-    });
-    Ok(())
-}
-
-/// What one capped line read produced.
-enum LineRead {
-    /// A complete line (without its newline) is in the buffer.
-    Line,
-    /// The line exceeded the cap; its content was discarded through the
-    /// terminating newline (or EOF).
-    TooLong,
-    /// Clean end of stream with no pending bytes.
-    Eof,
-}
-
-/// Reads one newline-terminated line into `line` (cleared first),
-/// never retaining more than `cap` bytes: an over-long line is
-/// discarded as it streams past and reported as [`LineRead::TooLong`].
-/// A read timeout or transport error surfaces as `Err`.
-fn read_line_capped(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    cap: usize,
-) -> io::Result<LineRead> {
-    line.clear();
-    let mut too_long = false;
-    loop {
-        let (consumed, done) = {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                // EOF: a partial unterminated line still gets served.
-                let done = if too_long {
-                    Some(LineRead::TooLong)
-                } else if line.is_empty() {
-                    Some(LineRead::Eof)
-                } else {
-                    Some(LineRead::Line)
-                };
-                (0, done)
-            } else {
-                match buf.iter().position(|&b| b == b'\n') {
-                    Some(i) => {
-                        let done = if too_long || line.len().saturating_add(i) > cap {
-                            LineRead::TooLong
-                        } else {
-                            line.extend_from_slice(&buf[..i]);
-                            LineRead::Line
-                        };
-                        (i + 1, Some(done))
-                    }
-                    None => {
-                        if !too_long {
-                            line.extend_from_slice(buf);
-                            if line.len() > cap {
-                                too_long = true;
-                                line.clear();
-                            }
-                        }
-                        (buf.len(), None)
-                    }
-                }
-            }
-        };
-        reader.consume(consumed);
-        if let Some(result) = done {
-            return Ok(result);
-        }
-    }
-}
-
-/// Appends an `error` response line to the output buffer.
-fn append_error(out: &mut String, message: &str) {
-    serde_json::to_string_into(&Response::error(message), out);
-    out.push('\n');
-}
-
-/// Writes and clears the pending response bytes.
-fn drain(writer: &mut TcpStream, out: &mut String) -> io::Result<()> {
-    if !out.is_empty() {
-        writer.write_all(out.as_bytes())?;
-        out.clear();
-    }
-    Ok(())
-}
-
-/// Writes and clears pending binary response frames.
-fn drain_bytes(writer: &mut TcpStream, out: &mut Vec<u8>) -> io::Result<()> {
-    if !out.is_empty() {
-        writer.write_all(out)?;
-        out.clear();
-    }
-    Ok(())
-}
-
-/// Serves one connection; true means a `shutdown` request was handled.
-///
-/// The first byte decides the codec: the binary [`binproto::MAGIC`]
-/// byte (which can never start a JSON line) routes the connection to
-/// the frame loop, anything else to the newline-JSON loop — the
-/// untouched compatibility surface.
-fn serve_conn(conn: TcpStream, service: &Service, cfg: &ServerConfig) -> bool {
-    let _ = conn.set_nodelay(true);
-    let _ = conn.set_read_timeout(cfg.read_timeout);
-    let _ = conn.set_write_timeout(cfg.write_timeout);
-    let Ok(read_half) = conn.try_clone() else {
-        return false;
-    };
-    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, read_half);
-    let mut writer = conn;
-    // Sniff without consuming: binary clients open with the preamble.
-    match reader.fill_buf() {
-        Err(_) => return false,
-        Ok([]) => return false,
-        Ok([crate::binproto::MAGIC, ..]) => return serve_conn_binary(reader, writer, service, cfg),
-        Ok(_) => {}
-    }
-    // Reused across every request on the connection: no per-request
-    // line or response allocations once the buffers have warmed up.
-    let mut line: Vec<u8> = Vec::with_capacity(1024);
-    let mut out = String::with_capacity(4096);
-    loop {
-        match read_line_capped(&mut reader, &mut line, cfg.max_line_bytes) {
-            // Timeout or transport error: a stuck client is dropped so
-            // it cannot pin this worker.
-            Err(_) => return false,
-            Ok(LineRead::Eof) => {
-                let _ = drain(&mut writer, &mut out);
-                return false;
-            }
-            Ok(LineRead::TooLong) => {
-                append_error(
-                    &mut out,
-                    &format!("request line exceeds {} bytes", cfg.max_line_bytes),
-                );
-            }
-            Ok(LineRead::Line) => match std::str::from_utf8(&line) {
-                Ok(text) => {
-                    let text = text.trim();
-                    if !text.is_empty() && service.handle_line_into(text, &mut out) {
-                        let _ = drain(&mut writer, &mut out);
-                        return true;
-                    }
-                }
-                Err(_) => append_error(&mut out, "request line is not valid UTF-8"),
-            },
-        }
-        // Syscall batching: flush only when no further complete request
-        // is already buffered (or the backlog has grown large), so a
-        // pipelined burst costs one write, not one per line.
-        let more_buffered = reader.buffer().contains(&b'\n');
-        if (!more_buffered || out.len() >= FLUSH_BYTES) && drain(&mut writer, &mut out).is_err() {
-            return false;
-        }
-    }
-}
-
-/// Discards exactly `n` bytes from the reader — how an oversized frame
-/// is skipped without ever buffering it (the length prefix keeps the
-/// stream in sync).
-fn skip_bytes(reader: &mut impl BufRead, mut n: usize) -> io::Result<()> {
-    while n > 0 {
-        let available = {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof inside frame"));
-            }
-            buf.len().min(n)
-        };
-        reader.consume(available);
-        n -= available;
-    }
-    Ok(())
-}
-
-/// Serves one binary-codec connection after the magic byte was sniffed;
-/// true means a `shutdown` request was handled. Oversized frames are
-/// rejected-and-skipped (connection survives); a malformed preamble is
-/// answered with an `error` frame and a close.
-fn serve_conn_binary(
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    service: &Service,
-    cfg: &ServerConfig,
-) -> bool {
-    use crate::binproto;
-    let mut out: Vec<u8> = Vec::with_capacity(4096);
-    let mut pre = [0u8; 4];
-    if reader.read_exact(&mut pre).is_err() {
-        return false;
-    }
-    if pre != binproto::PREAMBLE {
-        let _ = binproto::encode_response(
-            &Response::error("bad preamble: expected BD 50 44 01"),
-            &mut out,
-        );
-        let _ = drain_bytes(&mut writer, &mut out);
-        return false;
-    }
-    let mut body: Vec<u8> = Vec::with_capacity(1024);
-    loop {
-        let mut len4 = [0u8; 4];
-        if reader.read_exact(&mut len4).is_err() {
-            // EOF (or timeout) between frames: flush any backlog.
-            let _ = drain_bytes(&mut writer, &mut out);
-            return false;
-        }
-        let len = usize::try_from(u32::from_le_bytes(len4)).unwrap_or(usize::MAX);
-        if len == 0 {
-            let _ = binproto::encode_response(&Response::error("bad frame: empty frame"), &mut out);
-        } else if len > cfg.max_frame_bytes {
-            let _ = binproto::encode_response(
-                &Response::error(format!("frame exceeds {} bytes", cfg.max_frame_bytes)),
-                &mut out,
-            );
-            if skip_bytes(&mut reader, len).is_err() {
-                let _ = drain_bytes(&mut writer, &mut out);
-                return false;
-            }
-        } else {
-            body.resize(len, 0);
-            if reader.read_exact(&mut body).is_err() {
-                return false;
-            }
-            if service.handle_frame_into(&body, &mut out) {
-                let _ = drain_bytes(&mut writer, &mut out);
-                return true;
-            }
-        }
-        // Same syscall batching as the JSON loop: flush only when the
-        // read buffer does not already hold the next complete frame.
-        let buffered = reader.buffer();
-        let more_buffered = buffered.len() >= 4 && {
-            let mut next = [0u8; 4];
-            next.copy_from_slice(&buffered[..4]);
-            let next_len = usize::try_from(u32::from_le_bytes(next)).unwrap_or(usize::MAX);
-            next_len.saturating_add(4) <= buffered.len() || next_len > cfg.max_frame_bytes
-        };
-        if (!more_buffered || out.len() >= FLUSH_BYTES)
-            && drain_bytes(&mut writer, &mut out).is_err()
-        {
-            return false;
-        }
-    }
 }
 
 /// Serves requests from stdin to stdout until `shutdown` or EOF.
 pub fn serve_stdio(service: &Service) -> io::Result<()> {
     let stdin = io::stdin();
     let mut stdout = io::stdout().lock();
+    let mut affinity = service.worker();
     let mut out = String::new();
     for line in stdin.lock().lines() {
         let line = line?;
-        if line.trim().is_empty() {
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
-        let shutdown = service.handle_line_into(line.trim(), &mut out);
+        let shutdown = respond_line(service, line, &mut out, &mut affinity);
         stdout.write_all(out.as_bytes())?;
         stdout.flush()?;
         out.clear();

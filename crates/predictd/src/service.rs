@@ -48,6 +48,7 @@ use crate::proto::{
     Ack, DecideBatch, Decisions, LoadReport, Predict, Prediction, Rank, Ranked, Request, Response,
     ShardStats,
 };
+use crate::reactor::Handler;
 
 /// Service-level configuration.
 #[derive(Debug, Clone, Copy)]
@@ -234,7 +235,7 @@ impl Affinity {
 
 /// The contention-prediction service: all daemon state minus transport.
 /// Every handler takes `&self`; interior shard locks and atomic metrics
-/// make one instance shareable across a worker pool.
+/// make one instance shareable across event loops.
 #[derive(Debug)]
 pub struct Service {
     pred: ParagonPredictor,
@@ -315,78 +316,6 @@ impl Service {
         let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.metrics.record_latency_us(us);
         (resp, shutdown)
-    }
-
-    /// Parses one request line and appends the encoded response line
-    /// (with trailing newline) to `out`, reusing the caller's buffer —
-    /// the transport hot path. Malformed input yields an `error`
-    /// response, never a dropped connection. Returns the shutdown flag.
-    pub fn handle_line_into(&self, line: &str, out: &mut String) -> bool {
-        self.handle_line_opt(line, out, None)
-    }
-
-    /// [`Service::handle_line_into`] with a core-local [`Affinity`] —
-    /// the evented server's JSON hot path.
-    pub fn handle_line_local(&self, line: &str, out: &mut String, aff: &mut Affinity) -> bool {
-        self.handle_line_opt(line, out, Some(aff))
-    }
-
-    fn handle_line_opt(&self, line: &str, out: &mut String, aff: Option<&mut Affinity>) -> bool {
-        // The specialized codec takes the hot request kinds without a
-        // Value tree; anything it declines goes through the generic
-        // parser, which owns acceptance and error wording.
-        let (resp, shutdown) = match crate::codec::parse_request(line) {
-            Some(req) => self.handle_with(&req, aff),
-            None => match serde_json::from_str::<Request>(line) {
-                Ok(req) => self.handle_with(&req, aff),
-                Err(e) => (Response::error(format!("bad request: {e}")), false),
-            },
-        };
-        if !crate::codec::write_response(&resp, out) {
-            serde_json::to_string_into(&resp, out);
-        }
-        out.push('\n');
-        shutdown
-    }
-
-    /// Decodes one binary frame body (tag + payload, length prefix
-    /// already stripped), handles the request, and appends the complete
-    /// response frame to `out` — the binary-transport hot path.
-    /// Malformed frames yield an `error` response frame, never a
-    /// dropped connection. Returns the shutdown flag.
-    pub fn handle_frame_into(&self, body: &[u8], out: &mut Vec<u8>) -> bool {
-        self.handle_frame_opt(body, out, None)
-    }
-
-    /// [`Service::handle_frame_into`] with a core-local [`Affinity`] —
-    /// the evented server's binary hot path.
-    pub fn handle_frame_local(&self, body: &[u8], out: &mut Vec<u8>, aff: &mut Affinity) -> bool {
-        self.handle_frame_opt(body, out, Some(aff))
-    }
-
-    fn handle_frame_opt(&self, body: &[u8], out: &mut Vec<u8>, aff: Option<&mut Affinity>) -> bool {
-        let (resp, shutdown) = match crate::binproto::decode_request(body) {
-            Ok(req) => self.handle_with(&req, aff),
-            Err(e) => (Response::error(format!("bad frame: {e}")), false),
-        };
-        if !crate::binproto::encode_response(&resp, out) {
-            // Unreachable for responses this service builds (a length
-            // field would have to exceed u32); keep the stream framed
-            // with a tiny error rather than dropping the reply.
-            let fallback = Response::error("response exceeds binary frame limits");
-            let _ = crate::binproto::encode_response(&fallback, out);
-        }
-        shutdown
-    }
-
-    /// Parses one request line and encodes the response line (no
-    /// trailing newline). Allocating convenience wrapper around
-    /// [`Service::handle_line_into`] for stdio and tests.
-    pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let mut out = String::new();
-        let shutdown = self.handle_line_into(line, &mut out);
-        out.truncate(out.trim_end().len());
-        (out, shutdown)
     }
 
     /// The `stats` snapshot: atomic counters plus a brief read lock per
@@ -672,6 +601,21 @@ impl Service {
     }
 }
 
+/// The reactor's view of the service: each event loop keeps its own
+/// [`Affinity`], so warm queries are answered from core-local replicas.
+impl Handler for Service {
+    type Worker = Affinity;
+
+    fn worker(&self) -> Affinity {
+        Affinity::new()
+    }
+
+    // modelcheck: event-loop
+    fn serve_request(&self, req: &Request, aff: &mut Affinity) -> (Response, bool) {
+        self.handle_local(req, aff)
+    }
+}
+
 /// Read-locks a shard, recovering from poisoning: a worker that
 /// panicked mid-request must not wedge every later request to the
 /// shard, and the state it guards is always internally consistent
@@ -688,6 +632,7 @@ fn write_lock(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{respond_frame, respond_line};
     use contention_model::dataset::DataSet;
     use contention_model::predict::ParagonTask;
     use contention_model::units::secs;
@@ -956,12 +901,13 @@ mod tests {
     }
 
     #[test]
-    fn handle_frame_round_trips_the_binary_codec() {
+    fn respond_frame_round_trips_the_binary_codec() {
         let s = svc();
+        let mut aff = Affinity::new();
         let mut frame = Vec::new();
         assert!(crate::binproto::encode_request(&report("m0", 0.0, 2.0), &mut frame));
         let mut out = Vec::new();
-        assert!(!s.handle_frame_into(&frame[4..], &mut out));
+        assert!(!respond_frame(&s, &frame[4..], &mut out, &mut aff));
         let resp = crate::binproto::decode_response(&out[4..]).expect("ack frame");
         let Response::Ack(a) = resp else { panic!("want ack, got {resp:?}") };
         assert!(a.accepted);
@@ -969,7 +915,7 @@ mod tests {
 
         // Garbage bodies come back as framed errors, not hangups.
         out.clear();
-        assert!(!s.handle_frame_into(&[0x7f, 1, 2, 3], &mut out));
+        assert!(!respond_frame(&s, &[0x7f, 1, 2, 3], &mut out, &mut aff));
         let resp = crate::binproto::decode_response(&out[4..]).expect("error frame");
         assert_eq!(resp.kind(), "error");
 
@@ -977,7 +923,7 @@ mod tests {
         frame.clear();
         assert!(crate::binproto::encode_request(&Request::Shutdown, &mut frame));
         out.clear();
-        assert!(s.handle_frame_into(&frame[4..], &mut out));
+        assert!(respond_frame(&s, &frame[4..], &mut out, &mut aff));
     }
 
     #[test]
@@ -988,8 +934,17 @@ mod tests {
         assert!(stop);
     }
 
+    /// One JSON line through the reactor's line helper; the reply
+    /// without its trailing newline.
+    fn reply_line(s: &Service, line: &str) -> (String, bool) {
+        let mut out = String::new();
+        let shutdown = respond_line(s, line, &mut out, &mut Affinity::new());
+        out.truncate(out.trim_end().len());
+        (out, shutdown)
+    }
+
     #[test]
-    fn handle_line_rejects_garbage_gracefully() {
+    fn respond_line_rejects_garbage_gracefully() {
         let s = svc();
         for bad in [
             "not json",
@@ -998,29 +953,32 @@ mod tests {
             "{\"kind\":\"nope\"}",
             "{\"kind\":\"load_report\",\"machine\":\"m\",\"at\":\"later\",\"load\":1,\"comm_frac\":-1}",
         ] {
-            let (reply, stop) = s.handle_line(bad);
+            let (reply, stop) = reply_line(&s, bad);
             assert!(!stop);
             assert!(reply.contains("\"kind\":\"error\""), "{bad} -> {reply}");
         }
         // Invalid numeric domains are rejected by the handler, not a panic.
-        let (reply, _) = s.handle_line(
+        let (reply, _) = reply_line(
+            &s,
             "{\"kind\":\"load_report\",\"machine\":\"m\",\"at\":-3.0,\"load\":1.0,\"comm_frac\":-1.0}",
         );
         assert!(reply.contains("\"kind\":\"error\""));
-        let (reply, _) = s.handle_line(
+        let (reply, _) = reply_line(
+            &s,
             "{\"kind\":\"load_report\",\"machine\":\"m\",\"at\":0.0,\"load\":1.0,\"comm_frac\":2.0}",
         );
         assert!(reply.contains("\"kind\":\"error\""));
     }
 
     #[test]
-    fn handle_line_into_reuses_the_buffer() {
+    fn respond_line_reuses_the_buffer() {
         let s = svc();
+        let mut aff = Affinity::new();
         let mut out = String::new();
-        assert!(!s.handle_line_into("{\"kind\":\"stats\"}", &mut out));
+        assert!(!respond_line(&s, "{\"kind\":\"stats\"}", &mut out, &mut aff));
         assert!(out.ends_with('\n'));
         let first_len = out.len();
-        assert!(!s.handle_line_into("{\"kind\":\"stats\"}", &mut out));
+        assert!(!respond_line(&s, "{\"kind\":\"stats\"}", &mut out, &mut aff));
         assert!(out.len() > first_len, "responses append, caller decides when to drain");
         assert_eq!(out.matches('\n').count(), 2);
     }

@@ -1,15 +1,16 @@
-//! Concurrency coverage for the worker pool and the sharded service:
+//! Concurrency coverage for the reactor's event loops and the sharded
+//! service:
 //! many clients hammering one daemon from parallel threads, with the
 //! per-kind request counts reconciled afterwards.
 
-use std::net::TcpListener;
+use std::sync::atomic::AtomicBool;
 use std::thread;
 
 use contention_model::dataset::DataSet;
 use contention_model::predict::ParagonTask;
 use contention_model::units::secs;
 use predictd::proto::{DecideBatch, LoadReport, Predict, Request, Response};
-use predictd::{serve_pool, Client, ServerConfig, Service, ServiceConfig};
+use predictd::{Client, Reactor, ServerConfig, Service, ServiceConfig};
 
 fn task() -> ParagonTask {
     ParagonTask {
@@ -20,29 +21,26 @@ fn task() -> ParagonTask {
     }
 }
 
-fn spawn_pool_daemon(
-    workers: usize,
-    shards: usize,
-) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
+fn spawn_daemon(workers: usize, shards: usize) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
+    let cfg = ServerConfig { workers, ..ServerConfig::default() };
+    let reactor = Reactor::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = reactor.local_addr();
     let handle = thread::spawn(move || {
         let service =
             Service::with_default_predictor(ServiceConfig { shards, ..ServiceConfig::default() });
-        let cfg = ServerConfig { workers, ..ServerConfig::default() };
-        serve_pool(&listener, &service, &cfg).expect("serve_pool");
+        reactor.run(&service, &AtomicBool::new(false)).expect("reactor run");
     });
     (addr, handle)
 }
 
-/// N client threads × M requests each against a 4-worker pool: every
+/// N client threads × M requests each against 4 event loops: every
 /// request must succeed, and the server's own counters must add up to
 /// exactly what was sent.
 #[test]
 fn many_clients_many_requests_all_succeed_and_counts_reconcile() {
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 25;
-    let (addr, handle) = spawn_pool_daemon(4, 8);
+    let (addr, handle) = spawn_daemon(4, 8);
 
     thread::scope(|scope| {
         for c in 0..CLIENTS {
@@ -118,7 +116,7 @@ fn many_clients_many_requests_all_succeed_and_counts_reconcile() {
 /// per request, through the syscall-batched write path.
 #[test]
 fn pipelined_requests_answer_in_order() {
-    let (addr, handle) = spawn_pool_daemon(2, 4);
+    let (addr, handle) = spawn_daemon(2, 4);
     let mut client = Client::connect(addr).expect("connect");
     const DEPTH: usize = 64;
     for i in 0..DEPTH {
@@ -143,7 +141,7 @@ fn pipelined_requests_answer_in_order() {
 /// connections are open.
 #[test]
 fn shutdown_stops_the_pool_with_idle_connections_open() {
-    let (addr, handle) = spawn_pool_daemon(3, 4);
+    let (addr, handle) = spawn_daemon(3, 4);
     let idle = Client::connect(addr).expect("idle connection");
     let mut active = Client::connect(addr).expect("active connection");
     let resp = active.request(&Request::Shutdown).expect("ok");

@@ -2,7 +2,7 @@
 //! client exercising the full request surface, and the staleness
 //! policy observable on the wire.
 
-use std::net::TcpListener;
+use std::sync::atomic::AtomicBool;
 use std::thread;
 
 use contention_model::dataset::DataSet;
@@ -10,7 +10,7 @@ use contention_model::mix::WorkloadMix;
 use contention_model::predict::ParagonTask;
 use contention_model::units::{prob, secs};
 use predictd::proto::{LoadReport, Predict, Rank, Request, Response};
-use predictd::{default_predictor, serve, Client, Service, ServiceConfig};
+use predictd::{default_predictor, Client, Reactor, ServerConfig, Service, ServiceConfig};
 
 fn task() -> ParagonTask {
     ParagonTask {
@@ -22,11 +22,12 @@ fn task() -> ParagonTask {
 }
 
 fn spawn_daemon() -> (std::net::SocketAddr, thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let reactor = Reactor::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = reactor.local_addr();
     let handle = thread::spawn(move || {
         let service = Service::with_default_predictor(ServiceConfig::default());
-        serve(&listener, &service).expect("serve");
+        reactor.run(&service, &AtomicBool::new(false)).expect("reactor run");
     });
     (addr, handle)
 }

@@ -1,11 +1,11 @@
-//! End-to-end coverage for the evented engine and the binary codec
+//! End-to-end coverage for the reactor and the binary codec
 //! negotiation: a mixed JSON + binary client fleet on one server,
 //! malformed-preamble rejection, oversized- and truncated-frame
-//! handling, and slow readers that force the partial-write paths on
-//! both engines.
+//! handling, and a slow reader that forces the partial-write path.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::thread;
 use std::time::Duration;
 
@@ -14,7 +14,7 @@ use contention_model::predict::ParagonTask;
 use contention_model::units::secs;
 use predictd::binproto;
 use predictd::proto::{DecideBatch, LoadReport, Predict, Request, Response};
-use predictd::{serve_pool, Client, EventedServer, ServerConfig, Service, ServiceConfig};
+use predictd::{Client, Reactor, ServerConfig, Service, ServiceConfig};
 
 fn task() -> ParagonTask {
     ParagonTask {
@@ -25,16 +25,15 @@ fn task() -> ParagonTask {
     }
 }
 
-/// Boots an evented server on a loopback port. The service and config
-/// are leaked — each test owns one short-lived process anyway.
+/// Boots a reactor on a loopback port. The service is leaked — each
+/// test owns one short-lived process anyway.
 fn spawn_evented(cfg: ServerConfig, workers: usize) -> (SocketAddr, thread::JoinHandle<()>) {
     let service: &'static Service =
         Box::leak(Box::new(Service::with_default_predictor(ServiceConfig::default())));
-    let cfg: &'static ServerConfig = Box::leak(Box::new(cfg));
-    let server =
-        EventedServer::bind("127.0.0.1:0".parse().expect("loopback"), workers).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run(service, cfg).expect("evented run"));
+    let reactor = Reactor::bind("127.0.0.1:0", ServerConfig { workers, ..cfg }).expect("bind");
+    let addr = reactor.local_addr();
+    let handle =
+        thread::spawn(move || reactor.run(service, &AtomicBool::new(false)).expect("reactor run"));
     (addr, handle)
 }
 
@@ -179,8 +178,8 @@ fn truncated_frame_then_disconnect_leaves_the_server_healthy() {
     handle.join().expect("server exits");
 }
 
-/// The evented engine's JSON path enforces the line cap with an error
-/// and keeps the connection, like the blocking engine.
+/// The reactor's JSON path enforces the line cap with an error and
+/// keeps the connection.
 #[test]
 fn evented_json_line_cap_answers_and_survives() {
     let (addr, handle) =
@@ -210,27 +209,10 @@ fn evented_json_line_cap_answers_and_survives() {
 
 /// Pipelines many large responses at a reader with a shrunken receive
 /// buffer: the server's writes go partial, and every byte must still
-/// arrive in order. Exercises the evented engine's EPOLLOUT path.
+/// arrive in order. Exercises the reactor's EPOLLOUT path.
 #[test]
 fn slow_reader_gets_every_byte_from_the_evented_engine() {
     let (addr, handle) = spawn_evented(ServerConfig::default(), 1);
-    slow_reader_drives(addr, 60);
-    let mut client = Client::connect_binary(addr).expect("shutdown connect");
-    client.request(&Request::Shutdown).expect("shutdown");
-    handle.join().expect("server exits");
-}
-
-/// The same slow-reader traffic against the blocking pool engine, whose
-/// writes must also survive short writes and full socket buffers.
-#[test]
-fn slow_reader_gets_every_byte_from_the_pool_engine() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let handle = thread::spawn(move || {
-        let service = Service::with_default_predictor(ServiceConfig::default());
-        let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
-        serve_pool(&listener, &service, &cfg).expect("serve_pool");
-    });
     slow_reader_drives(addr, 60);
     let mut client = Client::connect_binary(addr).expect("shutdown connect");
     client.request(&Request::Shutdown).expect("shutdown");

@@ -1,21 +1,23 @@
 //! Connection-hygiene coverage: the oversized-line cap answers with a
-//! clean JSON error (connection survives), and the read timeout drops a
-//! stuck client so it cannot pin a worker forever.
+//! clean JSON error (connection survives), the stall timeout drops a
+//! client stuck mid-request, and an idle connection with nothing
+//! buffered outlives the stall timeout.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
+use std::sync::atomic::AtomicBool;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use predictd::proto::{Request, Response};
-use predictd::{serve_pool, Client, ServerConfig, Service, ServiceConfig};
+use predictd::{Client, Reactor, ServerConfig, Service, ServiceConfig};
 
 fn spawn_daemon(cfg: ServerConfig) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
+    let reactor = Reactor::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = reactor.local_addr();
     let handle = thread::spawn(move || {
         let service = Service::with_default_predictor(ServiceConfig::default());
-        serve_pool(&listener, &service, &cfg).expect("serve_pool");
+        reactor.run(&service, &AtomicBool::new(false)).expect("reactor run");
     });
     (addr, handle)
 }
@@ -61,8 +63,7 @@ fn stuck_client_is_dropped_by_the_read_timeout_and_frees_its_worker() {
     // timeout.
     let (addr, handle) = spawn_daemon(ServerConfig {
         workers: 1,
-        read_timeout: Some(Duration::from_millis(200)),
-        write_timeout: Some(Duration::from_millis(200)),
+        stall_timeout: Some(Duration::from_millis(200)),
         ..ServerConfig::default()
     });
     let mut stuck = TcpStream::connect(addr).expect("stuck client connects");
@@ -85,6 +86,28 @@ fn stuck_client_is_dropped_by_the_read_timeout_and_frees_its_worker() {
     stuck.set_read_timeout(Some(Duration::from_secs(5))).expect("probe timeout");
     let n = stuck.read(&mut probe).expect("stuck connection sees EOF");
     assert_eq!(n, 0, "server must have dropped the stuck connection");
+
+    client.request(&Request::Shutdown).expect("ok");
+    handle.join().expect("daemon exits");
+}
+
+#[test]
+fn idle_connection_with_nothing_buffered_outlives_the_stall_timeout() {
+    let (addr, handle) = spawn_daemon(ServerConfig {
+        workers: 1,
+        stall_timeout: Some(Duration::from_millis(200)),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let resp = client.request(&Request::Stats).expect("first stats");
+    let Response::Stats(_) = resp else { panic!("want stats, got {resp:?}") };
+
+    // Idle well past the stall timeout with nothing in flight: an idle
+    // connection is not a stalled one, so it must still be served.
+    thread::sleep(Duration::from_millis(600));
+    let resp = client.request(&Request::Stats).expect("stats after idling");
+    let Response::Stats(s) = resp else { panic!("want stats, got {resp:?}") };
+    assert_eq!(s.requests.stats, 2, "the idle connection was served again");
 
     client.request(&Request::Shutdown).expect("ok");
     handle.join().expect("daemon exits");

@@ -25,15 +25,14 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use predictd::{Client, ServerConfig};
+use predictd::{Client, Reactor, ServerConfig};
 use predictgw::journal::{read_reports, Journal};
-use predictgw::{Gateway, GatewayConfig, GatewayServer};
+use predictgw::{Gateway, GatewayConfig};
 use proto::{Request, Response};
 
 struct Args {
     listen: String,
     port_file: Option<String>,
-    workers: usize,
     cfg: GatewayConfig,
     server: ServerConfig,
 }
@@ -55,7 +54,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:0".to_string(),
         port_file: None,
-        workers: std::thread::available_parallelism().map_or(4, |n| n.get()).min(8),
         cfg: GatewayConfig::default(),
         server: ServerConfig::default(),
     };
@@ -66,8 +64,8 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--port-file" => args.port_file = Some(value("--port-file")?),
             "--backend" => args.cfg.backends.push(value("--backend")?),
             "--workers" => {
-                args.workers = parse_num(&value("--workers")?, "--workers")?;
-                if args.workers == 0 {
+                args.server.workers = parse_num(&value("--workers")?, "--workers")?;
+                if args.server.workers == 0 {
                     return Err("--workers must be at least 1".to_string());
                 }
             }
@@ -134,7 +132,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.cfg.backends.is_empty() {
         return Err(format!("at least one --backend is required\n{USAGE}"));
     }
-    args.server.workers = args.workers;
     Ok(args)
 }
 
@@ -204,20 +201,13 @@ fn journal_restore(mut it: impl Iterator<Item = String>) -> Result<(), String> {
 }
 
 fn serve(args: Args) -> Result<(), String> {
-    use std::net::ToSocketAddrs;
     let gateway = Gateway::new(args.cfg).map_err(|e| format!("cannot start gateway: {e}"))?;
-    let addr = args
-        .listen
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {}: {e}", args.listen))?
-        .find(std::net::SocketAddr::is_ipv4)
-        .ok_or_else(|| format!("{}: no IPv4 address (the gateway needs one)", args.listen))?;
-    let server = GatewayServer::bind(addr, args.workers)
+    let reactor = Reactor::bind(args.listen.as_str(), args.server)
         .map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
-    let bound = server.local_addr();
+    let bound = reactor.local_addr();
     println!(
         "listening on {bound} (gateway, {} workers, {} backends)",
-        args.workers,
+        args.server.workers,
         gateway.config().backends.len()
     );
     if let Some(path) = &args.port_file {
@@ -227,7 +217,7 @@ fn serve(args: Args) -> Result<(), String> {
     let stop = AtomicBool::new(false);
     let served = std::thread::scope(|scope| {
         let checker = scope.spawn(|| gateway.run_health_checker(&stop));
-        let served = server.run(&gateway, &args.server, &stop);
+        let served = reactor.run(&gateway, &stop);
         stop.store(true, Ordering::Release);
         let _ = checker.join();
         served

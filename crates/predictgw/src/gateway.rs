@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use predictd::ClientError;
+use predictd::{ClientError, Handler};
 use proto::proto::{DecideBatch, Decisions, GwStatsReply, LoadReport};
 use proto::{Request, Response};
 
@@ -421,38 +421,6 @@ impl Gateway {
         )
     }
 
-    /// Parses one request line and appends the encoded response line
-    /// (with trailing newline) to `out` — the JSON transport hot path,
-    /// mirroring `predictd`'s. Returns the shutdown flag.
-    pub fn handle_line(&self, line: &str, out: &mut String, lanes: &mut Lanes) -> bool {
-        let (resp, shutdown) = match proto::codec::parse_request(line) {
-            Some(req) => self.handle(&req, lanes),
-            None => match serde_json::from_str::<Request>(line) {
-                Ok(req) => self.handle(&req, lanes),
-                Err(e) => (Response::error(format!("bad request: {e}")), false),
-            },
-        };
-        if !proto::codec::write_response(&resp, out) {
-            serde_json::to_string_into(&resp, out);
-        }
-        out.push('\n');
-        shutdown
-    }
-
-    /// Decodes one binary frame body, handles it, and appends the
-    /// response frame to `out` — the binary transport hot path.
-    pub fn handle_frame(&self, body: &[u8], out: &mut Vec<u8>, lanes: &mut Lanes) -> bool {
-        let (resp, shutdown) = match proto::binproto::decode_request(body) {
-            Ok(req) => self.handle(&req, lanes),
-            Err(e) => (Response::error(format!("bad frame: {e}")), false),
-        };
-        if !proto::binproto::encode_response(&resp, out) {
-            let fallback = Response::error("response exceeds binary frame limits");
-            let _ = proto::binproto::encode_response(&fallback, out);
-        }
-        shutdown
-    }
-
     /// Runs the health checker until `stop` is set: probe every backend
     /// with `stats` each interval, mark down after the configured
     /// threshold of consecutive failures, and on recovery replay the
@@ -605,6 +573,21 @@ impl Gateway {
                 eprintln!("predictgw: replayed {replayed} reports into backend {}", b.addr());
             }
         }
+    }
+}
+
+/// The reactor's view of the gateway: each event loop forwards through
+/// its own backend [`Lanes`].
+impl Handler for Gateway {
+    type Worker = Lanes;
+
+    fn worker(&self) -> Lanes {
+        self.lanes()
+    }
+
+    // modelcheck: event-loop
+    fn serve_request(&self, req: &Request, lanes: &mut Lanes) -> (Response, bool) {
+        self.handle(req, lanes)
     }
 }
 

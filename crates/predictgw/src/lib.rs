@@ -20,11 +20,18 @@
 //!   append-only load-report journal before it takes traffic again,
 //!   so it never answers stale where its peers answer fresh.
 //!
-//! The daemon reuses the evented `poll.rs` engine pattern from
-//! predictd: one nonblocking epoll loop per worker with its own
-//! `SO_REUSEPORT` listener ([`server`]), per-connection codec sniff
-//! and partial-I/O state machines, and relaxed-atomic gateway metrics
-//! ([`metrics`]) behind the `gw_stats` wire kind.
+//! The daemon serves clients on predictd's reactor
+//! ([`predictd::reactor`]): one nonblocking epoll loop per worker with
+//! its own `SO_REUSEPORT` listener and its own backend lanes, plugged
+//! in through the reactor's `Handler` trait. Gateway metrics are
+//! relaxed atomics ([`metrics`]) behind the `gw_stats` wire kind.
+//!
+//! Backend calls are blocking (bounded by the configured I/O timeout),
+//! which is a deliberate trade: the gateway's unit of work is "forward
+//! and wait for one answer", its concurrency comes from running one
+//! loop per core, and a wedged backend costs at most the timeout before
+//! the failover path takes over. Slow *clients* still never pin a
+//! worker, backpressure is per-connection, and shutdown drains cleanly.
 //!
 //! modelcheck: no-panic, lossy-cast, missing-docs, lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
 
@@ -35,10 +42,8 @@ pub mod gateway;
 pub mod journal;
 pub mod metrics;
 pub mod ring;
-pub mod server;
 
 pub use gateway::{Gateway, GatewayConfig};
 pub use journal::Journal;
 pub use metrics::GwMetrics;
 pub use ring::Ring;
-pub use server::GatewayServer;

@@ -17,8 +17,8 @@ use contention_model::dataset::DataSet;
 use contention_model::predict::ParagonTask;
 use contention_model::units::secs;
 use predictd::proto::{LoadReport, Predict, Rank, Request, Response};
-use predictd::{Client, EventedServer, ServerConfig, Service, ServiceConfig};
-use predictgw::{Gateway, GatewayConfig, GatewayServer};
+use predictd::{Client, Reactor, ServerConfig, Service, ServiceConfig};
+use predictgw::{Gateway, GatewayConfig};
 
 fn task() -> ParagonTask {
     ParagonTask {
@@ -54,10 +54,11 @@ fn rank(machine: &str, now: f64) -> Request {
 fn spawn_backend(addr: SocketAddr) -> (SocketAddr, thread::JoinHandle<()>) {
     let service: &'static Service =
         Box::leak(Box::new(Service::with_default_predictor(ServiceConfig::default())));
-    let cfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-    let server = EventedServer::bind(addr, 1).expect("bind backend");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run(service, cfg).expect("backend run"));
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let reactor = Reactor::bind(addr, cfg).expect("bind backend");
+    let addr = reactor.local_addr();
+    let handle =
+        thread::spawn(move || reactor.run(service, &AtomicBool::new(false)).expect("backend run"));
     (addr, handle)
 }
 
@@ -104,12 +105,11 @@ fn killed_backend_fails_over_and_replays_to_convergence() {
         .expect("gateway"),
     ));
     let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-    let cfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-    let server =
-        GatewayServer::bind("127.0.0.1:0".parse().expect("loopback"), 1).expect("bind gateway");
-    let gw_addr = server.local_addr();
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let reactor = Reactor::bind("127.0.0.1:0", cfg).expect("bind gateway");
+    let gw_addr = reactor.local_addr();
     let checker = thread::spawn(|| gateway.run_health_checker(stop));
-    let gw_handle = thread::spawn(move || server.run(gateway, cfg, stop).expect("gateway run"));
+    let gw_handle = thread::spawn(move || reactor.run(gateway, stop).expect("gateway run"));
 
     let mut client = Client::connect_binary(gw_addr).expect("gateway connect");
     let machines: Vec<String> = (0..6).map(|i| format!("fo-m{i}")).collect();

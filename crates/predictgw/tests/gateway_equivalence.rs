@@ -22,8 +22,8 @@ use contention_model::dataset::DataSet;
 use contention_model::predict::ParagonTask;
 use contention_model::units::secs;
 use predictd::proto::{DecideBatch, LoadReport, Predict, Rank, Request, Response};
-use predictd::{Client, EventedServer, ServerConfig, Service, ServiceConfig};
-use predictgw::{Gateway, GatewayConfig, GatewayServer};
+use predictd::{Client, Reactor, ServerConfig, Service, ServiceConfig};
+use predictgw::{Gateway, GatewayConfig};
 use proptest::prelude::*;
 
 fn task(scale: f64) -> ParagonTask {
@@ -40,10 +40,10 @@ fn task(scale: f64) -> ParagonTask {
 fn spawn_backend() -> SocketAddr {
     let service: &'static Service =
         Box::leak(Box::new(Service::with_default_predictor(ServiceConfig::default())));
-    let cfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-    let server = EventedServer::bind("127.0.0.1:0".parse().expect("loopback"), 1).expect("bind");
-    let addr = server.local_addr();
-    thread::spawn(move || server.run(service, cfg).expect("backend run"));
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let reactor = Reactor::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = reactor.local_addr();
+    thread::spawn(move || reactor.run(service, &AtomicBool::new(false)).expect("backend run"));
     addr
 }
 
@@ -53,11 +53,10 @@ fn spawn_gateway(backends: Vec<String>) -> SocketAddr {
     let gateway: &'static Gateway = Box::leak(Box::new(
         Gateway::new(GatewayConfig { backends, ..GatewayConfig::default() }).expect("gateway"),
     ));
-    let cfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-    let server = GatewayServer::bind("127.0.0.1:0".parse().expect("loopback"), 1).expect("bind");
-    let addr = server.local_addr();
-    thread::spawn(move || server.run(gateway, cfg, stop).expect("gateway run"));
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let reactor = Reactor::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = reactor.local_addr();
+    thread::spawn(move || reactor.run(gateway, &AtomicBool::new(false)).expect("gateway run"));
     addr
 }
 
