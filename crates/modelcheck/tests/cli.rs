@@ -140,6 +140,22 @@ fn json_output_is_machine_readable() {
 }
 
 #[test]
+fn dump_summaries_matches_the_golden_file() {
+    // The golden sits beside the fixture workspace, not inside it, so
+    // scanning the fixture never reads it.
+    let golden = fixture_root().with_extension("summaries");
+    let want = fs::read_to_string(&golden).expect("read golden summaries");
+    let out = Command::new(env!("CARGO_BIN_EXE_modelcheck"))
+        .arg("--dump-summaries")
+        .arg(fixture_root())
+        .output()
+        .expect("spawn modelcheck");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let got = String::from_utf8(out.stdout).expect("utf8");
+    assert_eq!(got, want, "--dump-summaries drifted from {}", golden.display());
+}
+
+#[test]
 fn baseline_accepts_findings_and_catches_drift() {
     let dir = std::env::temp_dir().join(format!("modelcheck-bl-{}", std::process::id()));
     fs::create_dir_all(&dir).expect("mkdir");
