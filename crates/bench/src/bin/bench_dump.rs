@@ -164,19 +164,28 @@ fn main() {
 /// `modelcheck` workspace scan (lex + AST + graph passes + the
 /// cross-file drift check), so the analyzer's own cost — and how much
 /// structure the interprocedural passes see — is tracked per commit
-/// alongside the model numbers.
+/// alongside the model numbers. `scan_ms` is the median of five scans
+/// after one warm-up, with the fastest and slowest beside it.
 fn modelcheck_report() -> Value {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let start = Instant::now();
     let (mut diags, stats) = modelcheck::scan_workspace_with_stats(root);
-    let scan_secs = start.elapsed().as_secs_f64();
+    let mut scan_ms: Vec<f64> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(modelcheck::scan_workspace_with_stats(root));
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    scan_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let text =
         std::fs::read_to_string(modelcheck::baseline::default_path(root)).unwrap_or_default();
     let (entries, _bad) = modelcheck::baseline::parse(&text);
     modelcheck::baseline::mark(&mut diags, &entries);
     let baselined = diags.iter().filter(|d| d.baselined).count();
     Value::Map(vec![
-        ("scan_ms".to_string(), Value::Float(scan_secs * 1e3)),
+        ("scan_ms".to_string(), Value::Float(scan_ms[2])),
+        ("scan_ms_min".to_string(), Value::Float(scan_ms[0])),
+        ("scan_ms_max".to_string(), Value::Float(scan_ms[4])),
         ("files".to_string(), Value::UInt(stats.files as u64)),
         ("graph_nodes".to_string(), Value::UInt(stats.graph_nodes as u64)),
         ("graph_edges".to_string(), Value::UInt(stats.graph_edges as u64)),

@@ -500,7 +500,8 @@ fn run_graph_passes(
 /// (file, line) order: taint flow (`ret=`, `sinks=`), lock behavior
 /// (`locks=`, `held=`, `returns-lock=`), and the first blocking site
 /// (`blocking=`). `-` marks an empty section. The format is consumed
-/// by `--dump-summaries` and pinned by the CLI tests.
+/// by `--dump-summaries` and pinned by the CLI tests against
+/// `tests/fixtures/ws.summaries`.
 fn render_summaries(
     files: &[graph::FileCtx<'_, '_>],
     g: &graph::CallGraph,

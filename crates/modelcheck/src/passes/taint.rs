@@ -6,12 +6,15 @@
 //! v5 runs in two phases over the workspace call graph. **Summarize**
 //! computes a [`FnTaint`] summary per function to a fixpoint: which
 //! parameters flow into a sink (directly or through further calls),
-//! and whether the return value is wire-derived. **Emit** re-walks
-//! each function with the final summaries and reports: a tainted value
-//! reaching a local sink, a tainted value passed to a callee whose
-//! summary sinks that parameter (the finding carries the full
-//! `file:line` call-path trace), and a tainted return value flowing
-//! out of a resolved call into a caller-side sink.
+//! and whether the return value is wire-derived. After the first round
+//! walks every function, each round re-walks only the callers of the
+//! summaries that changed, until none does; there is no round cap, so
+//! a flow through any number of forwarding helpers is found. **Emit**
+//! re-walks each function with the final summaries and reports: a
+//! tainted value reaching a local sink, a tainted value passed to a
+//! callee whose summary sinks that parameter (the finding carries the
+//! full `file:line` call-path trace), and a tainted return value
+//! flowing out of a resolved call into a caller-side sink.
 //!
 //! **Labels** — a value's taint is a bitmask: bit 63 ([`WIRE`]) marks
 //! wire-derived data, bit `i` marks "derived from parameter `i`".
@@ -75,9 +78,6 @@ pub const WIRE: u64 = 1 << 63;
 /// Parameter labels use bits `0..PARAM_BITS`; later parameters are
 /// untracked (none of the workspace's functions come close).
 const PARAM_BITS: usize = 62;
-/// Fixpoint round cap; summaries are monotone so this is a backstop,
-/// not a tuning knob (the workspace converges in a handful of rounds).
-const MAX_ROUNDS: usize = 10;
 
 /// The per-function taint summary.
 #[derive(Debug, Clone, Default)]
@@ -86,6 +86,22 @@ pub struct FnTaint {
     pub ret: u64,
     /// Parameters that reach a sink, with the path to it.
     pub sinks: Vec<ParamSink>,
+}
+
+impl FnTaint {
+    /// Merges one walk's summary in; the first trace found for a
+    /// `(param, what)` pair is kept. True when this summary grew.
+    fn absorb(&mut self, out: FnTaint) -> bool {
+        let mut grew = self.ret | out.ret != self.ret;
+        self.ret |= out.ret;
+        for s in out.sinks {
+            if !self.sinks.iter().any(|e| e.param == s.param && e.what == s.what) {
+                self.sinks.push(s);
+                grew = true;
+            }
+        }
+        grew
+    }
 }
 
 /// One parameter-to-sink flow in a function's summary.
@@ -117,30 +133,40 @@ pub fn render_labels(mask: u64, params: &[String]) -> String {
     parts.join("|")
 }
 
-/// Computes the per-function summaries to a fixpoint (Jacobi rounds
-/// over a snapshot; summaries only grow, so the iteration converges).
+/// Computes the per-function summaries to a fixpoint in Jacobi rounds:
+/// every walk in a round reads the summaries as the round found them,
+/// and the results merge in node order. A walk reads summaries only
+/// through its own call edges, so after round 0 (every node) a round
+/// re-walks just the callers of the summaries the last round changed.
+/// Summaries only grow, over finitely many labels and sink keys, so
+/// the loop ends when a round changes nothing; there is no round cap.
 pub fn summarize(files: &[FileCtx<'_, '_>], g: &CallGraph) -> Vec<FnTaint> {
+    let mut callers: Vec<Vec<NodeId>> = vec![Vec::new(); g.nodes.len()];
+    for (caller, sites) in g.edges.iter().enumerate() {
+        for s in sites {
+            callers[s.callee].push(caller);
+        }
+    }
     let mut sums: Vec<FnTaint> = vec![FnTaint::default(); g.nodes.len()];
-    for _ in 0..MAX_ROUNDS {
-        let prev = sums.clone();
-        let mut changed = false;
-        for (id, entry) in sums.iter_mut().enumerate() {
-            let mut w = Walk::new(files, g, &prev, id, false);
-            w.run();
-            if entry.ret | w.out.ret != entry.ret {
-                entry.ret |= w.out.ret;
-                changed = true;
-            }
-            for s in w.out.sinks {
-                if !entry.sinks.iter().any(|e| e.param == s.param && e.what == s.what) {
-                    entry.sinks.push(s);
-                    changed = true;
+    let mut dirty: Vec<NodeId> = (0..g.nodes.len()).collect();
+    while !dirty.is_empty() {
+        let outs: Vec<FnTaint> = dirty
+            .iter()
+            .map(|&id| {
+                let mut w = Walk::new(files, g, &sums, id, false);
+                w.run();
+                w.out
+            })
+            .collect();
+        let mut rewalk = vec![false; g.nodes.len()];
+        for (&id, out) in dirty.iter().zip(outs) {
+            if sums[id].absorb(out) {
+                for &c in &callers[id] {
+                    rewalk[c] = true;
                 }
             }
         }
-        if !changed {
-            break;
-        }
+        dirty = (0..g.nodes.len()).filter(|&id| rewalk[id]).collect();
     }
     for s in &mut sums {
         s.sinks.sort_by(|a, b| (a.param, a.what.as_str()).cmp(&(b.param, b.what.as_str())));
@@ -980,5 +1006,55 @@ mod tests {
                    \x20   let v = Vec::with_capacity(n);\n\
                    }\n";
         assert!(scan(src).is_empty());
+    }
+
+    #[test]
+    fn deep_forwarding_chains_reach_the_sink() {
+        // Each forwarding level takes one more round to summarize, so a
+        // round cap would silently drop this finding.
+        let mut src =
+            String::from("fn top(c: &mut Cur) {\n    let n = c.u32() as usize;\n    h1(n);\n}\n");
+        for i in 1..12 {
+            src.push_str(&format!("fn h{i}(n: usize) {{ h{}(n); }}\n", i + 1));
+        }
+        src.push_str("fn h12(n: usize) { let v = Vec::with_capacity(n); }\n");
+        let scope = FileScope { wire_taint: true, ..FileScope::NONE };
+        let d: Vec<_> = crate::scan_file("x.rs", &src, scope)
+            .into_iter()
+            .filter(|d| d.rule == Rule::WireTaint)
+            .collect();
+        assert_eq!(d.len(), 1, "{d:?}");
+        let path = d[0].message.split("call path ").nth(1).and_then(|m| m.split(" without").next());
+        let steps: Vec<_> = path.expect("a call-path trace").split(" -> ").collect();
+        assert_eq!(steps.len(), 13, "{steps:?}");
+        assert_eq!((steps[0], steps[12]), ("x.rs:3", "x.rs:16"), "{steps:?}");
+    }
+
+    #[test]
+    fn mutual_recursion_reaches_the_sink() {
+        let src = "fn top(c: &mut Cur) {\n\
+                   \x20   let n = c.u32() as usize;\n\
+                   \x20   a(n);\n\
+                   }\n\
+                   fn a(n: usize) { b(n); }\n\
+                   fn b(n: usize) { a(n); let v = Vec::with_capacity(n); }\n";
+        let d = scan(src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("x.rs:3 -> x.rs:5 -> x.rs:6"), "{d:?}");
+    }
+
+    #[test]
+    fn self_recursion_reaches_the_sink() {
+        let src = "fn top(c: &mut Cur) {\n\
+                   \x20   let n = c.u32() as usize;\n\
+                   \x20   grow(n, 3);\n\
+                   }\n\
+                   fn grow(n: usize, depth: u32) {\n\
+                   \x20   if depth == 0 { let v = vec![0u8; n]; return; }\n\
+                   \x20   grow(n, depth - 1);\n\
+                   }\n";
+        let d = scan(src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("x.rs:3 -> x.rs:6"), "{d:?}");
     }
 }
