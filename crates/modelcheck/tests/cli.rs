@@ -156,6 +156,22 @@ fn dump_summaries_matches_the_golden_file() {
 }
 
 #[test]
+fn json_emit_matches_the_golden_file() {
+    // Every finding, span and message on the fixture workspace, byte
+    // for byte; the golden sits beside the fixture like the summaries.
+    let golden = fixture_root().with_extension("json");
+    let want = fs::read_to_string(&golden).expect("read golden findings");
+    let out = Command::new(env!("CARGO_BIN_EXE_modelcheck"))
+        .args(["--emit", "json"])
+        .arg(fixture_root())
+        .output()
+        .expect("spawn modelcheck");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let got = String::from_utf8(out.stdout).expect("utf8");
+    assert_eq!(got, want, "--emit json drifted from {}", golden.display());
+}
+
+#[test]
 fn baseline_accepts_findings_and_catches_drift() {
     let dir = std::env::temp_dir().join(format!("modelcheck-bl-{}", std::process::id()));
     fs::create_dir_all(&dir).expect("mkdir");
