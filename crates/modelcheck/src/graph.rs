@@ -77,6 +77,9 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// `edges[n]` are `n`'s resolved call sites, sorted by `name_tok`.
     pub edges: Vec<Vec<CallSite>>,
+    /// Non-macro call sites left unresolved because their name has two
+    /// or more definitions in the scope resolution picked.
+    pub ambiguous_calls: usize,
     node_by_def: HashMap<(usize, usize), NodeId>,
 }
 
@@ -90,8 +93,8 @@ impl CallGraph {
         // definition is ambiguous, exactly as two impls are.
         let mut crate_defs: HashMap<(Option<&str>, &str), u32> = HashMap::new();
         let mut global_defs: HashMap<&str, u32> = HashMap::new();
-        let mut crate_nodes: HashMap<(Option<&str>, String), Vec<NodeId>> = HashMap::new();
-        let mut global_nodes: HashMap<String, Vec<NodeId>> = HashMap::new();
+        let mut crate_nodes: HashMap<(Option<&str>, &str), Vec<NodeId>> = HashMap::new();
+        let mut global_nodes: HashMap<&str, Vec<NodeId>> = HashMap::new();
         for (fi, f) in files.iter().enumerate() {
             for (di, def) in f.ast.fns.iter().enumerate() {
                 *crate_defs.entry((f.crate_dir, def.name.as_str())).or_default() += 1;
@@ -107,46 +110,46 @@ impl CallGraph {
                     params: params_of(f.toks, f.ast, def),
                 });
                 node_by_def.insert((fi, di), id);
-                crate_nodes.entry((f.crate_dir, def.name.clone())).or_default().push(id);
-                global_nodes.entry(def.name.clone()).or_default().push(id);
+                crate_nodes.entry((f.crate_dir, def.name.as_str())).or_default().push(id);
+                global_nodes.entry(def.name.as_str()).or_default().push(id);
             }
         }
-        let resolve = |crate_dir: Option<&str>, name: &str| -> Option<NodeId> {
+        // The scope a name resolves in: the calling crate when it
+        // defines the name, else the whole workspace. `Err(count)` is a
+        // name with no unique definition there.
+        let resolve = |crate_dir: Option<&str>, name: &str| -> Result<NodeId, u32> {
             let in_crate = crate_defs.get(&(crate_dir, name)).copied().unwrap_or(0);
-            if in_crate == 1 {
-                return match crate_nodes.get(&(crate_dir, name.to_string())).map(Vec::as_slice) {
-                    Some(&[one]) => Some(one),
-                    _ => None,
-                };
+            let (count, ids) = if in_crate > 0 {
+                (in_crate, crate_nodes.get(&(crate_dir, name)))
+            } else {
+                (global_defs.get(name).copied().unwrap_or(0), global_nodes.get(name))
+            };
+            match ids.map(Vec::as_slice) {
+                Some(&[one]) if count == 1 => Ok(one),
+                _ => Err(count),
             }
-            if in_crate > 1 {
-                return None;
-            }
-            if global_defs.get(name).copied().unwrap_or(0) == 1 {
-                return match global_nodes.get(name).map(Vec::as_slice) {
-                    Some(&[one]) => Some(one),
-                    _ => None,
-                };
-            }
-            None
         };
         let mut edges = Vec::with_capacity(nodes.len());
+        let mut ambiguous_calls = 0;
         for n in &nodes {
             let f = &files[n.file];
             let block = &f.ast.blocks[n.body];
             let mut out = Vec::new();
             for call in f.ast.calls_in((block.open, block.close + 1)) {
-                let name = f.toks[call.name_tok].text;
                 if call.is_macro {
                     continue;
                 }
-                if let Some(callee) = resolve(f.crate_dir, name) {
-                    out.push(CallSite { callee, name_tok: call.name_tok });
+                let name = f.toks[call.name_tok];
+                debug_assert_eq!(name.kind, TokKind::Ident, "a call is named by an identifier");
+                match resolve(f.crate_dir, name.text) {
+                    Ok(callee) => out.push(CallSite { callee, name_tok: call.name_tok }),
+                    Err(count) if count >= 2 => ambiguous_calls += 1,
+                    Err(_) => {}
                 }
             }
             edges.push(out);
         }
-        CallGraph { nodes, edges, node_by_def }
+        CallGraph { nodes, edges, ambiguous_calls, node_by_def }
     }
 
     /// The node for `(file, def)`, when that definition has a body.

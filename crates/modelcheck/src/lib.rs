@@ -657,6 +657,11 @@ pub struct ScanStats {
     pub graph_nodes: usize,
     /// Call-graph edges (resolved call sites).
     pub graph_edges: usize,
+    /// Non-macro call sites left unresolved because their name has two
+    /// or more definitions in the scope resolution picked.
+    pub ambiguous_calls: usize,
+    /// Lines carrying a `modelcheck-allow:` grant.
+    pub allow_sites: usize,
 }
 
 /// Scans every `.rs` file under `root` (skipping `vendor/`, `target/`,
@@ -785,8 +790,13 @@ fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Ve
     diags.extend(gd);
     diags.extend(passes::drift::check_workspace(root));
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
-    let stats =
-        ScanStats { files: inputs.len(), graph_nodes: g.nodes.len(), graph_edges: g.edge_count() };
+    let stats = ScanStats {
+        files: inputs.len(),
+        graph_nodes: g.nodes.len(),
+        graph_edges: g.edge_count(),
+        ambiguous_calls: g.ambiguous_calls,
+        allow_sites: inputs.iter().map(|i| i.allow_sites).sum(),
+    };
     (diags, stats, summaries)
 }
 
@@ -858,6 +868,28 @@ mod tests {
     fn cfg_test_blocks_are_exempt_from_panics() {
         let body = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
         assert!(core_scan(body).is_empty());
+    }
+
+    #[test]
+    fn closing_brace_in_a_string_does_not_end_the_test_mask() {
+        let body = "#[cfg(test)]\n\
+                    mod tests {\n\
+                    \x20   const S: &str = \"}\";\n\
+                    \x20   fn f() { x.unwrap(); }\n\
+                    }\n";
+        assert!(core_scan(body).is_empty(), "{:?}", core_scan(body));
+    }
+
+    #[test]
+    fn opening_brace_in_a_char_does_not_extend_the_test_mask() {
+        let body = "#[cfg(test)]\n\
+                    mod tests {\n\
+                    \x20   const C: char = '{';\n\
+                    }\n\
+                    fn g() { y.unwrap(); }\n";
+        let d = core_scan(body);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].rule, d[0].line), (Rule::NoPanic, 5));
     }
 
     #[test]

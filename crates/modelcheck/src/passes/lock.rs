@@ -193,8 +193,8 @@ struct Walker<'t, 'a, 'i> {
 impl Walker<'_, '_, '_> {
     fn walk_block(&mut self, b: BlockId) {
         self.depth += 1;
-        let stmts = self.ast.blocks[b].stmts.clone();
-        for stmt in &stmts {
+        let ast = self.ast;
+        for stmt in &ast.blocks[b].stmts {
             let mut nested: Vec<BlockId> = Vec::new();
             match &stmt.kind {
                 StmtKind::Item => continue, // nested fns are walked on their own

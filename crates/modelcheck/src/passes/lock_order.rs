@@ -260,8 +260,8 @@ impl<'w, 't, 'a> Harvester<'w, 't, 'a> {
 
     fn walk_block(&mut self, b: BlockId) {
         self.depth += 1;
-        let stmts = self.ast().blocks[b].stmts.clone();
-        for stmt in &stmts {
+        let ast = self.ast();
+        for stmt in &ast.blocks[b].stmts {
             let mut nested: Vec<BlockId> = Vec::new();
             match &stmt.kind {
                 StmtKind::Item => continue, // nested fns harvest on their own
@@ -308,9 +308,12 @@ impl<'w, 't, 'a> Harvester<'w, 't, 'a> {
                 continue;
             }
             // Direct acquisition, or a call to a guard-returning helper.
+            // Call edges sit only at identifier tokens.
+            let callee =
+                if t.kind == TokKind::Ident { self.g.callee_of(self.node, k) } else { None };
             let direct = acq_at(toks, k).map(|(w, line)| (class_of(toks, self.ast(), k), w, line));
             let via_helper = if direct.is_none() {
-                self.g.callee_of(self.node, k).and_then(|callee| {
+                callee.and_then(|callee| {
                     self.returns[callee].clone().map(|class| (callee, class, t.line))
                 })
             } else {
@@ -321,7 +324,7 @@ impl<'w, 't, 'a> Harvester<'w, 't, 'a> {
             } else if let Some((callee, class, line)) = via_helper {
                 self.held_call(callee, k);
                 self.acquire(class, true, line, k);
-            } else if let Some(callee) = self.g.callee_of(self.node, k) {
+            } else if let Some(callee) = callee {
                 self.held_call(callee, k);
             } else if self.out.blocking.is_none() {
                 if let Some(what) = io_at(toks, k) {

@@ -209,10 +209,11 @@ struct Walk<'w, 't, 'a> {
     g: &'w CallGraph,
     sums: &'w [FnTaint],
     node: NodeId,
-    /// Current label mask per live binding name.
-    labels: HashMap<String, u64>,
+    /// Current label mask per live binding name. Names borrow from the
+    /// token text, the AST's `let` names and the graph's parameters.
+    labels: HashMap<&'w str, u64>,
     /// Derivation links: binding → labeled names its initializer read.
-    deps: HashMap<String, Vec<String>>,
+    deps: HashMap<&'w str, Vec<&'w str>>,
     /// Whether findings are emitted (the emit phase, outside tests).
     emit: bool,
     /// (line, col) pairs already reported, to dedup branch re-walks.
@@ -233,7 +234,7 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
         let mut labels = HashMap::new();
         for (i, p) in g.nodes[node].params.iter().enumerate().take(PARAM_BITS) {
             if !p.is_empty() {
-                labels.insert(p.clone(), 1u64 << i);
+                labels.insert(p.as_str(), 1u64 << i);
             }
         }
         Walk {
@@ -278,7 +279,7 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
     fn walk_block(&mut self, block: BlockId, fn_body: bool) {
         let entry_labels = self.labels.clone();
         let entry_deps = self.deps.clone();
-        let stmts = self.ast().blocks[block].stmts.clone();
+        let stmts = &self.ast().blocks[block].stmts;
         let last = stmts.len().saturating_sub(1);
         for (si, stmt) in stmts.iter().enumerate() {
             match &stmt.kind {
@@ -292,7 +293,7 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
                             self.bind(name, span);
                         }
                     } else if let Some(name) = name {
-                        self.labels.remove(name);
+                        self.labels.remove(name.as_str());
                     }
                 }
                 StmtKind::Expr(e) => {
@@ -318,7 +319,7 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
     }
 
     /// Records the binding produced by `let name = <init span>;`.
-    fn bind(&mut self, name: &str, init: Span) {
+    fn bind(&mut self, name: &'w str, init: Span) {
         if self.sanitized_at_use(init) {
             self.labels.remove(name);
             self.deps.remove(name);
@@ -330,17 +331,17 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
             self.deps.remove(name);
             return;
         }
-        let mut sources: Vec<String> = Vec::new();
+        let mut sources: Vec<&'w str> = Vec::new();
         for t in &self.toks()[init.0..init.1.min(self.toks().len())] {
             if t.kind == TokKind::Ident && self.labels.contains_key(t.text) {
-                sources.push(t.text.to_string());
+                sources.push(t.text);
             }
         }
-        sources.sort();
+        sources.sort_unstable();
         sources.dedup();
-        sources.retain(|s| s != name); // self-rebind keeps taint, not a link
-        self.labels.insert(name.to_string(), mask);
-        self.deps.insert(name.to_string(), sources);
+        sources.retain(|&s| s != name); // self-rebind keeps taint, not a link
+        self.labels.insert(name, mask);
+        self.deps.insert(name, sources);
     }
 
     /// The label mask carried by `span`: labeled bindings it mentions,
@@ -451,29 +452,29 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
 
     /// Clears `name` and everything linked to it through derivation,
     /// in both directions (checking `need = n * 8` also clears `n`).
-    fn sanitize_closure(&mut self, name: &str) {
-        let mut work = vec![name.to_string()];
+    fn sanitize_closure(&mut self, name: &'w str) {
+        let mut work = vec![name];
         while let Some(n) = work.pop() {
-            if self.labels.remove(&n).is_none() {
+            if self.labels.remove(n).is_none() {
                 continue;
             }
-            if let Some(srcs) = self.deps.get(&n) {
-                work.extend(srcs.iter().cloned());
+            if let Some(srcs) = self.deps.get(n) {
+                work.extend_from_slice(srcs);
             }
-            for (k, srcs) in &self.deps {
-                if srcs.iter().any(|s| s == &n) {
-                    work.push(k.clone());
+            for (&k, srcs) in &self.deps {
+                if srcs.contains(&n) {
+                    work.push(k);
                 }
             }
         }
     }
 
     /// The labeled names an ordering comparison in `span` mentions.
-    fn checked_names(&self, span: Span) -> Vec<String> {
+    fn checked_names(&self, span: Span) -> Vec<&'w str> {
         if !has_ordering_cmp(self.toks(), span) {
             return Vec::new();
         }
-        self.labels.keys().filter(|n| span_mentions(self.toks(), span, n)).cloned().collect()
+        self.labels.keys().copied().filter(|n| span_mentions(self.toks(), span, n)).collect()
     }
 
     /// `assert!`/`debug_assert!` with an ordering comparison sanitizes
@@ -486,12 +487,12 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
             }
         }
         for n in cleared {
-            self.sanitize_closure(&n);
+            self.sanitize_closure(n);
         }
     }
 
     fn walk_expr(&mut self, e: ExprId) {
-        let expr = self.ast().exprs[e].clone();
+        let expr = &self.ast().exprs[e];
         match &expr.kind {
             ExprKind::If { conds } => {
                 for c in conds {
@@ -510,7 +511,7 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
                         cleared.extend(self.checked_names(*c));
                     }
                     for n in cleared {
-                        self.sanitize_closure(&n);
+                        self.sanitize_closure(n);
                     }
                     self.walk_block(*b, false);
                     self.labels = saved_labels;
@@ -523,7 +524,7 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
                     let Some(&b) = expr.blocks.get(i) else { continue };
                     if block_has_early_exit(self.toks(), &self.ast().blocks[b]) {
                         for n in self.checked_names(*c) {
-                            self.sanitize_closure(&n);
+                            self.sanitize_closure(n);
                         }
                     }
                 }
@@ -568,21 +569,17 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
     /// Walks only the nested blocks of an expression (used for `let`
     /// initializers, whose span is sink-checked separately).
     fn walk_expr_blocks(&mut self, e: ExprId) {
-        let blocks = self.ast().exprs[e].blocks.clone();
-        for b in blocks {
+        for &b in &self.ast().exprs[e].blocks {
             self.walk_block(b, false);
         }
     }
 
     /// The first [`WIRE`]-labeled name `span` mentions, if any.
-    fn wire_name_in(&self, span: Span) -> Option<(usize, String)> {
-        for k in span.0..span.1.min(self.toks().len()) {
-            let t = self.toks()[k];
-            if t.kind == TokKind::Ident && self.labels.get(t.text).is_some_and(|m| m & WIRE != 0) {
-                return Some((k, t.text.to_string()));
-            }
-        }
-        None
+    fn wire_name_in(&self, span: Span) -> Option<(usize, &'a str)> {
+        let toks = self.toks();
+        (span.0..span.1.min(toks.len())).map(|k| (k, toks[k].text)).find(|&(k, text)| {
+            toks[k].kind == TokKind::Ident && self.labels.get(text).is_some_and(|m| m & WIRE != 0)
+        })
     }
 
     /// Routes a labeled value reaching a sink: [`WIRE`] emits a
@@ -602,10 +599,8 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
         let mut trace = vec![self.site(at)];
         trace.extend(tail.iter().cloned());
         if mask & WIRE != 0 {
-            let name = value
-                .and_then(|s| self.wire_name_in(s))
-                .map_or_else(|| "<wire read>".to_string(), |(_, n)| n);
-            self.report(at, &name, what, &trace);
+            let name = value.and_then(|s| self.wire_name_in(s)).map_or("<wire read>", |(_, n)| n);
+            self.report(at, name, what, &trace);
         }
         let params = self.g.nodes[self.node].params.len().min(PARAM_BITS);
         for i in 0..params {
@@ -658,15 +653,17 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
     /// Allocation, index, `vec![…; n]`, and callee-summary sinks
     /// inside `span`.
     fn check_sinks(&mut self, span: Span) {
-        let calls: Vec<_> = self.ast().calls_in(span).to_vec();
-        for c in &calls {
-            let name = self.toks()[c.name_tok].text;
+        let (toks, sums) = (self.toks(), self.sums);
+        for c in self.ast().calls_in(span) {
+            let name = toks[c.name_tok].text;
             let is_alloc = (name == "with_capacity" && !c.is_method)
                 || (c.is_method && ALLOC_METHODS.contains(&name))
                 || (c.is_macro && name == "vec" && self.args_have_repeat_semi(c.args));
             if is_alloc && !self.sanitized_at_use(c.args) {
                 let mask = self.labels_of(c.args);
-                self.sink_hit(c.name_tok, Some(c.args), mask, &format!("alloc({name})"), &[]);
+                if mask != 0 {
+                    self.sink_hit(c.name_tok, Some(c.args), mask, &format!("alloc({name})"), &[]);
+                }
             }
             // Interprocedural step: a labeled value passed in a
             // position the callee's summary sinks.
@@ -674,12 +671,12 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
                 continue;
             }
             let Some(callee) = self.g.callee_of(self.node, c.name_tok) else { continue };
-            if self.sums[callee].sinks.is_empty() {
+            let callee_sinks = &sums[callee].sinks;
+            if callee_sinks.is_empty() {
                 continue;
             }
-            let args = split_args(self.ast(), self.toks(), c.args);
-            let callee_sinks = self.sums[callee].sinks.clone();
-            for s in &callee_sinks {
+            let args = split_args(self.ast(), toks, c.args);
+            for s in callee_sinks {
                 let Some(&a) = args.get(s.param) else { continue };
                 if self.sanitized_at_use(a) {
                     continue;
@@ -690,12 +687,12 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
         }
         // Postfix slice indexes: `expr[…]` where the bracket follows a
         // value position (identifier, `)`, `]`, or `?`).
-        let end = span.1.min(self.toks().len());
+        let end = span.1.min(toks.len());
         for k in span.0..end {
-            if self.toks()[k].text != "[" || k == 0 {
+            if toks[k].text != "[" || k == 0 {
                 continue;
             }
-            let prev = self.toks()[k - 1];
+            let prev = toks[k - 1];
             let value_pos = prev.kind == TokKind::Ident && prev.text != "return"
                 || matches!(prev.text, ")" | "]" | "?");
             if !value_pos {

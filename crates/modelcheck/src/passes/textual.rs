@@ -2,7 +2,7 @@
 //! `lossy-cast`, `no-todo-dbg`, `missing-docs`) re-hosted on the lexed
 //! code view, with column spans on every finding.
 
-use super::{contains_token, find_token, token_positions, FileInput};
+use super::{contains_token, find_str, find_token, token_positions, FileInput};
 use crate::{Diagnostic, Rule};
 
 /// A `pub fn` signature accumulated from its first line to the opening
@@ -118,7 +118,7 @@ pub fn run(input: &FileInput<'_>) -> Vec<Diagnostic> {
         }
 
         if scope.no_panic && !input.allowed(i, Rule::NoPanic) {
-            if let Some(at) = code.find(".unwrap()") {
+            if let Some(at) = find_str(code, ".unwrap()") {
                 push(
                     i,
                     at,
@@ -129,7 +129,7 @@ pub fn run(input: &FileInput<'_>) -> Vec<Diagnostic> {
                         .to_string(),
                 );
             }
-            if let Some(at) = code.find(".expect(") {
+            if let Some(at) = find_str(code, ".expect(") {
                 push(
                     i,
                     at,
