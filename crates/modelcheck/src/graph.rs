@@ -88,19 +88,24 @@ impl CallGraph {
     pub fn build(files: &[FileCtx<'_, '_>]) -> CallGraph {
         let mut nodes = Vec::new();
         let mut node_by_def = HashMap::new();
-        // Definition counts include bodyless declarations (trait
-        // methods, extern fns): a name with a declaration *and* a
-        // definition is ambiguous, exactly as two impls are.
-        let mut crate_defs: HashMap<(Option<&str>, &str), u32> = HashMap::new();
-        let mut global_defs: HashMap<&str, u32> = HashMap::new();
-        let mut crate_nodes: HashMap<(Option<&str>, &str), Vec<NodeId>> = HashMap::new();
-        let mut global_nodes: HashMap<&str, Vec<NodeId>> = HashMap::new();
+        // Per name, at crate and at workspace scope: how many
+        // definitions it has and which of them are nodes. The counts
+        // include bodyless declarations (trait methods, extern fns): a
+        // name with a declaration *and* a definition is ambiguous,
+        // exactly as two impls are.
+        type Defs = (u32, Vec<NodeId>);
+        let mut crate_defs: HashMap<(Option<&str>, &str), Defs> = HashMap::new();
+        let mut global_defs: HashMap<&str, Defs> = HashMap::new();
         for (fi, f) in files.iter().enumerate() {
             for (di, def) in f.ast.fns.iter().enumerate() {
-                *crate_defs.entry((f.crate_dir, def.name.as_str())).or_default() += 1;
-                *global_defs.entry(def.name.as_str()).or_default() += 1;
+                let in_crate = crate_defs.entry((f.crate_dir, def.name.as_str())).or_default();
+                let global = global_defs.entry(def.name.as_str()).or_default();
+                in_crate.0 += 1;
+                global.0 += 1;
                 let Some(body) = def.body else { continue };
                 let id = nodes.len();
+                in_crate.1.push(id);
+                global.1.push(id);
                 nodes.push(FnNode {
                     file: fi,
                     def: di,
@@ -110,23 +115,17 @@ impl CallGraph {
                     params: params_of(f.toks, f.ast, def),
                 });
                 node_by_def.insert((fi, di), id);
-                crate_nodes.entry((f.crate_dir, def.name.as_str())).or_default().push(id);
-                global_nodes.entry(def.name.as_str()).or_default().push(id);
             }
         }
-        // The scope a name resolves in: the calling crate when it
-        // defines the name, else the whole workspace. `Err(count)` is a
-        // name with no unique definition there.
+        // A name resolves in the calling crate when the crate defines
+        // it, else in the whole workspace. `Err(count)` is a name with
+        // no unique definition there.
         let resolve = |crate_dir: Option<&str>, name: &str| -> Result<NodeId, u32> {
-            let in_crate = crate_defs.get(&(crate_dir, name)).copied().unwrap_or(0);
-            let (count, ids) = if in_crate > 0 {
-                (in_crate, crate_nodes.get(&(crate_dir, name)))
-            } else {
-                (global_defs.get(name).copied().unwrap_or(0), global_nodes.get(name))
-            };
-            match ids.map(Vec::as_slice) {
-                Some(&[one]) if count == 1 => Ok(one),
-                _ => Err(count),
+            let defs = crate_defs.get(&(crate_dir, name)).or_else(|| global_defs.get(name));
+            match defs {
+                Some((1, ids)) if ids.len() == 1 => Ok(ids[0]),
+                Some((count, _)) => Err(*count),
+                None => Err(0),
             }
         };
         let mut edges = Vec::with_capacity(nodes.len());

@@ -17,9 +17,8 @@ pub fn run(input: &FileInput<'_>) -> Vec<Diagnostic> {
     if !input.scope.float_env || input.tokens.is_empty() {
         return Vec::new();
     }
-    let toks = input.code_tokens();
     let mut diags = Vec::new();
-    for t in &toks {
+    for t in &input.tokens {
         if t.kind != TokKind::Ident || input.in_test(t.line) {
             continue;
         }

@@ -32,7 +32,7 @@ pub struct FileInput<'a> {
     /// must stay visible).
     pub code_lines: Vec<String>,
     /// Lines carrying a `modelcheck-allow:` grant.
-    pub allow_sites: usize,
+    pub(crate) allow_sites: usize,
     /// `allow_mask[i]` has bit `rule as u32` set when `rule` is allowed
     /// on 0-based line `i`; see [`FileInput::allowed`].
     allow_mask: Vec<u32>,
@@ -229,14 +229,22 @@ fn cfg_test_mask(code_lines: &[String], tokens: &[Token<'_>]) -> Vec<bool> {
 }
 
 /// The first byte offset of `needle` in `hay`: a scan for the needle's
-/// first byte, then a compare. Unlike `str::find` it builds no searcher,
-/// which is what the short per-line needles want. `needle` must not be
-/// empty.
+/// first byte, then a compare of the rest. Unlike `str::find` it builds
+/// no searcher, which is what the short per-line needles want. An
+/// empty `needle` is never found.
 pub(crate) fn find_str(hay: &str, needle: &str) -> Option<usize> {
     let (h, n) = (hay.as_bytes(), needle.as_bytes());
-    let first = n[0];
+    let (&first, rest) = n.split_first()?;
     let last = h.len().checked_sub(n.len())?;
-    (0..=last).find(|&i| h[i] == first && &h[i..i + n.len()] == n)
+    let mut from = 0;
+    while from <= last {
+        let i = from + h[from..=last].iter().position(|&b| b == first)?;
+        if h[i + 1..i + n.len()] == *rest {
+            return Some(i);
+        }
+        from = i + 1;
+    }
+    None
 }
 
 /// True when `needle` occurs in `hay` with non-identifier characters (or
