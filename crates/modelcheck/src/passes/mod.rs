@@ -20,6 +20,7 @@ pub mod textual;
 
 use crate::lexer::{lex, TokKind, Token};
 use crate::{Diagnostic, FileScope, Rule};
+use std::borrow::Cow;
 
 /// Everything the per-file passes share, computed once per file.
 pub struct FileInput<'a> {
@@ -29,8 +30,8 @@ pub struct FileInput<'a> {
     pub raw_lines: Vec<&'a str>,
     /// The file's lines with every comment byte blanked to a space
     /// (string contents are preserved — signatures like `extern "C"`
-    /// must stay visible).
-    pub code_lines: Vec<String>,
+    /// must stay visible). Lines no comment touches borrow the text.
+    pub code_lines: Vec<Cow<'a, str>>,
     /// Lines carrying a `modelcheck-allow:` grant.
     pub(crate) allow_sites: usize,
     /// `allow_mask[i]` has bit `rule as u32` set when `rule` is allowed
@@ -57,7 +58,7 @@ impl<'a> FileInput<'a> {
         let mut diags = Vec::new();
         let (tokens, code_lines) = match lex(text) {
             Ok(tokens) => {
-                let code = blank_comments(text, &tokens);
+                let code = blank_comments(text, &raw_lines, &tokens);
                 (tokens, code)
             }
             Err(e) => {
@@ -69,7 +70,7 @@ impl<'a> FileInput<'a> {
                     Rule::Lex,
                     format!("file does not lex ({}); falling back to line scanning", e.message),
                 ));
-                (Vec::new(), raw_lines.iter().map(|l| code_part(l).to_string()).collect())
+                (Vec::new(), raw_lines.iter().map(|l| Cow::Borrowed(code_part(l))).collect())
             }
         };
         let (allow_mask, allow_sites) = allow_masks(&raw_lines);
@@ -109,8 +110,13 @@ impl<'a> FileInput<'a> {
 }
 
 /// Rebuilds the file's lines with every comment token's bytes replaced
-/// by spaces (newlines kept, so line numbering is unchanged).
-fn blank_comments(text: &str, tokens: &[Token<'_>]) -> Vec<String> {
+/// by spaces (newlines kept, so line numbering is unchanged). A line
+/// the blanking left as it was borrows its raw line.
+fn blank_comments<'a>(
+    text: &'a str,
+    raw_lines: &[&'a str],
+    tokens: &[Token<'_>],
+) -> Vec<Cow<'a, str>> {
     let mut bytes = text.as_bytes().to_vec();
     for t in tokens {
         if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
@@ -123,10 +129,13 @@ fn blank_comments(text: &str, tokens: &[Token<'_>]) -> Vec<String> {
     }
     // Only ASCII bytes were rewritten (whole comment spans cover whole
     // chars), so the buffer is still valid UTF-8.
-    String::from_utf8(bytes)
-        .unwrap_or_else(|_| text.to_string())
+    let blanked = String::from_utf8(bytes).unwrap_or_else(|_| text.to_string());
+    // Blanking never touches a newline, so both texts split into the
+    // same lines.
+    blanked
         .lines()
-        .map(str::to_string)
+        .zip(raw_lines)
+        .map(|(code, &raw)| if code == raw { Cow::Borrowed(raw) } else { Cow::Owned(code.into()) })
         .collect()
 }
 
@@ -181,7 +190,7 @@ fn allow_masks(lines: &[&str]) -> (Vec<u32>, usize) {
 /// punctuation tokens, so one inside a string or char literal never
 /// moves the depth; when lexing failed (no tokens) the characters of
 /// the `//`-cut fallback lines are counted instead.
-fn cfg_test_mask(code_lines: &[String], tokens: &[Token<'_>]) -> Vec<bool> {
+fn cfg_test_mask(code_lines: &[Cow<'_, str>], tokens: &[Token<'_>]) -> Vec<bool> {
     // Per line: whether it opens a brace, and its net depth change.
     let mut braces = vec![(false, 0i64); code_lines.len()];
     if tokens.is_empty() {

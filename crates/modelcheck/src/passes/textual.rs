@@ -4,10 +4,11 @@
 
 use super::{contains_token, find_str, find_token, token_positions, FileInput};
 use crate::{Diagnostic, Rule};
+use std::borrow::Cow;
 
 /// A `pub fn` signature accumulated from its first line to the opening
 /// `{` or terminating `;` (whichever comes first).
-fn signature_text(code_lines: &[String], start: usize) -> String {
+fn signature_text(code_lines: &[Cow<'_, str>], start: usize) -> String {
     let mut sig = String::new();
     for code in code_lines.iter().skip(start) {
         if let Some(stop) = code.find(['{', ';']) {
@@ -99,7 +100,7 @@ pub fn run(input: &FileInput<'_>) -> Vec<Diagnostic> {
     let dbg_pat = concat!("d", "bg!");
 
     for (i, code) in input.code_lines.iter().enumerate() {
-        let code = code.as_str();
+        let code: &str = code;
         if code.trim().is_empty() {
             continue;
         }
