@@ -15,7 +15,7 @@
 //! AST, no name resolution ([`crate::ast`] builds the tree on top).
 //! Lexing is a small share of a scan: on the frozen benchmark tree
 //! (147 files, 1.3 MB of source) a warm full workspace scan takes about
-//! 85 ms on a 2-vCPU Xeon VM, of which lexing is about 8 ms.
+//! 80 ms on a 2-vCPU Xeon VM, of which lexing is about 6 ms.
 //!
 //! Robustness bar: every `.rs` file in the workspace must lex without
 //! error (pinned by a self-test in `tests/cli.rs`); a file that fails

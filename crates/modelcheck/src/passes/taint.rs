@@ -661,9 +661,7 @@ impl<'w, 't, 'a> Walk<'w, 't, 'a> {
                 || (c.is_macro && name == "vec" && self.args_have_repeat_semi(c.args));
             if is_alloc && !self.sanitized_at_use(c.args) {
                 let mask = self.labels_of(c.args);
-                if mask != 0 {
-                    self.sink_hit(c.name_tok, Some(c.args), mask, &format!("alloc({name})"), &[]);
-                }
+                self.sink_hit(c.name_tok, Some(c.args), mask, &format!("alloc({name})"), &[]);
             }
             // Interprocedural step: a labeled value passed in a
             // position the callee's summary sinks.
