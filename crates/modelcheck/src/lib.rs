@@ -14,7 +14,8 @@
 //! reachability check ([`resolve`] holds the shared name/annotation
 //! helpers). Cheap textual rules stay on the line/token path, and a
 //! cross-file pass checks the wire protocol for drift between
-//! `proto.rs`, `codec.rs`, and the DESIGN.md protocol table.
+//! `proto.rs`, `binproto.rs`, `gateway.rs`, and the DESIGN.md protocol
+//! table.
 //!
 //! **Crates opt in via a root pragma.** Each crate declares the rules
 //! it holds itself to with a doc line in its crate root (`src/lib.rs`,
@@ -44,7 +45,7 @@
 //! | `lock-order` | concurrency | a cycle in the workspace lock-order graph (including orders split across functions), or a guard held across a call whose callee (transitively) blocks on I/O |
 //! | `wire-taint` | dataflow | a wire-decoded value reaching `with_capacity`/`reserve`/`resize`/`vec![_; n]`, a slice index, or a loop bound without a dominating bounds check — in the decoding function or through any resolved call chain |
 //! | `float-env` | numeric | `to_bits`/`from_bits`/`EPSILON` outside `units.rs` |
-//! | `protocol-drift` | protocol | a wire kind present in `proto.rs`, `codec.rs`, or the DESIGN.md table but missing from another |
+//! | `protocol-drift` | protocol | a wire kind present in `proto.rs`, `binproto.rs`, `gateway.rs`, or the DESIGN.md table but missing from another |
 //! | `pragma` | config | a `modelcheck:` pragma naming an unknown rule |
 //! | `lex` | lexer | a file the lexer cannot tokenize |
 //! | `parse` | parser | a file with mismatched delimiters the parser cannot structure |
@@ -110,8 +111,8 @@ pub enum Rule {
     /// Bit-level float access (`to_bits`/`from_bits`/`EPSILON`) outside
     /// `units.rs`.
     FloatEnv,
-    /// Wire-protocol drift between `proto.rs`, `codec.rs`, and the
-    /// DESIGN.md protocol table.
+    /// Wire-protocol drift between `proto.rs`, `binproto.rs`,
+    /// `gateway.rs`, and the DESIGN.md protocol table.
     ProtocolDrift,
     /// A crate-root `modelcheck:` pragma naming an unknown rule.
     Pragma,
@@ -188,7 +189,7 @@ impl Rule {
             }
             Rule::FloatEnv => "`to_bits`/`from_bits`/`EPSILON` outside units.rs",
             Rule::ProtocolDrift => {
-                "wire kind present in proto.rs, codec.rs, or DESIGN.md but missing elsewhere"
+                "wire kind present in proto.rs, binproto.rs, gateway.rs, or DESIGN.md but missing elsewhere"
             }
             Rule::Pragma => "a crate-root `modelcheck:` pragma naming an unknown rule",
             Rule::Lex => "a file the lexer cannot tokenize",

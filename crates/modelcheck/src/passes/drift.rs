@@ -1,27 +1,22 @@
-//! The `protocol-drift` pass: the wire protocol is defined in four
+//! The `protocol-drift` pass: the wire protocol is defined in five
 //! places and they must agree.
 //!
 //! 1. `crates/proto/src/proto.rs` — the `Request`/`Response` enums
-//!    and their `kind()` tag strings are the source of truth.
-//! 2. `crates/proto/src/codec.rs` — the fast path must handle (or
-//!    *explicitly decline*, like `"rank" => None` or
-//!    `Response::Ranked(_) => return false`) every kind; a variant
-//!    added to proto.rs without touching codec.rs silently routes all
-//!    traffic for it through the slow generic path — or worse, drifts
-//!    the fast writer away from byte-identity.
-//! 3. `crates/proto/src/binproto.rs` — the binary codec must give
-//!    every kind a frame layout (or decline it explicitly, the same
-//!    variant-mention rule); a kind missing here would serialize over
-//!    JSON but fail the moment a client negotiates binary.
-//! 4. The wire-protocol table in DESIGN.md §8 — operators read the
+//!    and their `kind()` tag strings are the source of truth; their
+//!    serde forms are the JSON codec.
+//! 2. `crates/proto/src/binproto.rs` — the binary codec must give
+//!    every kind a frame layout (or *explicitly decline* it by naming
+//!    its variant or kind string); a kind missing here would serialize
+//!    over JSON but fail the moment a client negotiates binary.
+//! 3. The wire-protocol table in DESIGN.md §8 — operators read the
 //!    docs, not the source.
-//! 5. `crates/predictgw/src/gateway.rs` — the federation gateway's
+//! 4. `crates/predictgw/src/gateway.rs` — the federation gateway's
 //!    dispatch must mention every *request* kind (route it, fan it
 //!    out, or decline it explicitly); a request kind added to proto.rs
 //!    without a gateway arm would error at the gateway for traffic
 //!    every backend understands. Response kinds are exempt: the
 //!    gateway forwards backend responses opaquely.
-//! 6. The journal-record table in DESIGN.md §9 against the `REC_*`
+//! 5. The journal-record table in DESIGN.md §9 against the `REC_*`
 //!    constants in `crates/predictgw/src/journal.rs` — the journal is
 //!    an on-disk format operators may have to inspect long after the
 //!    gateway that wrote it is gone, so its documented record tags are
@@ -33,9 +28,8 @@
 //! triples from the enum declarations and the single-line match arms
 //! that pair a `Request::V`/`Response::V` path with a string literal
 //! (`kind()`, serialization, deserialization — all three agree or
-//! that's a finding too). Codec coverage — for the fast JSON path and
-//! the binary codec alike — counts a non-test mention of either the
-//! kind string (standalone, or embedded as a `"kind":"…"` tag in a
+//! that's a finding too). Coverage — in the binary codec and the
+//! gateway alike — counts a non-test mention of either the kind string (standalone, or embedded as a `"kind":"…"` tag in a
 //! write pattern) or the variant path. The DESIGN table is any set of
 //! markdown rows `| `kind` | direction | … |` (extra columns, like the
 //! binary tag, are welcome). `#[cfg(test)]` lines never count as
@@ -51,8 +45,6 @@ use crate::{Diagnostic, FileScope, Rule};
 
 /// Workspace-relative location of the protocol source of truth.
 pub const PROTO_REL: &str = "crates/proto/src/proto.rs";
-/// Workspace-relative location of the fast-path codec.
-pub const CODEC_REL: &str = "crates/proto/src/codec.rs";
 /// Workspace-relative location of the binary codec.
 pub const BINPROTO_REL: &str = "crates/proto/src/binproto.rs";
 /// Workspace-relative location of the protocol documentation.
@@ -222,7 +214,7 @@ fn harvest_kinds(
     }
 }
 
-/// What the codec mentions outside `#[cfg(test)]`: plain string
+/// What a file mentions outside `#[cfg(test)]`: plain string
 /// literals (plus embedded `"kind":"…"` tags) and variant paths.
 #[derive(Debug, Default)]
 struct CodecCoverage {
@@ -256,7 +248,7 @@ fn harvest_codec(input: &FileInput<'_>) -> CodecCoverage {
 }
 
 impl CodecCoverage {
-    /// True when the codec visibly handles (or declines) this kind.
+    /// True when the file visibly handles (or declines) this kind.
     fn covers(&self, dir: &str, variant: &str, kind: &str) -> bool {
         let tag = format!("\\\"kind\\\":\\\"{kind}\\\"");
         let tag_unescaped = format!("\"kind\":\"{kind}\"");
@@ -351,7 +343,7 @@ fn design_rows(design: &str) -> Vec<(String, String, usize)> {
     rows
 }
 
-/// The testable core: checks the six protocol views against each
+/// The testable core: checks the five protocol views against each
 /// other. `binproto` is `None` when the binary codec file is absent
 /// (one finding — a protocol without a binary layout is drift in
 /// itself); `design` is `None` when DESIGN.md is absent; `gateway` and
@@ -363,8 +355,6 @@ fn design_rows(design: &str) -> Vec<(String, String, usize)> {
 pub fn check(
     proto_rel: &str,
     proto: &str,
-    codec_rel: &str,
-    codec: &str,
     binproto_rel: &str,
     binproto: Option<&str>,
     design_rel: &str,
@@ -376,8 +366,7 @@ pub fn check(
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let (proto_in, lex1) = FileInput::build(proto_rel, proto, FileScope::NONE);
-    let (codec_in, lex2) = FileInput::build(codec_rel, codec, FileScope::NONE);
-    if !lex1.is_empty() || !lex2.is_empty() {
+    if !lex1.is_empty() {
         // Lex failures are already reported by the per-file passes;
         // drift checking on a half-lexed protocol would only add noise.
         return diags;
@@ -388,11 +377,10 @@ pub fn check(
     sides.insert("response", Side::default());
     harvest_enums(&proto_in, &mut sides);
     harvest_kinds(&proto_in, &mut sides, &mut diags);
-    let cov = harvest_codec(&codec_in);
 
-    // The binary codec is held to the same coverage rule as the fast
-    // JSON path; a half-lexed binproto is skipped (its own per-file
-    // passes report the lex failure), a missing one is a finding.
+    // Every kind needs a binary frame layout; a half-lexed binproto is
+    // skipped (its own per-file passes report the lex failure), a
+    // missing one is a finding.
     let bin_cov = match binproto {
         Some(text) => {
             let (bin_in, lex3) = FileInput::build(binproto_rel, text, FileScope::NONE);
@@ -455,18 +443,6 @@ pub fn check(
                 ));
                 continue;
             };
-            if !cov.covers(dir, variant, kind) {
-                diags.push(Diagnostic::at_line(
-                    codec_rel,
-                    1,
-                    Rule::ProtocolDrift,
-                    format!(
-                        "{dir} kind {kind:?} (`{variant}`) has no fast-path arm or \
-                         explicit decline in the codec — add one (or decline it \
-                         explicitly) so the fast and generic paths cannot drift"
-                    ),
-                ));
-            }
             if let Some(bin) = &bin_cov {
                 if !bin.covers(dir, variant, kind) {
                     diags.push(Diagnostic::at_line(
@@ -598,14 +574,6 @@ pub fn check_workspace(root: &Path) -> Vec<Diagnostic> {
     let Ok(proto) = fs::read_to_string(root.join(PROTO_REL)) else {
         return Vec::new();
     };
-    let Ok(codec) = fs::read_to_string(root.join(CODEC_REL)) else {
-        return vec![Diagnostic::at_line(
-            CODEC_REL,
-            1,
-            Rule::ProtocolDrift,
-            "proto.rs exists but codec.rs is missing — the fast path lost its codec".to_string(),
-        )];
-    };
     let binproto = fs::read_to_string(root.join(BINPROTO_REL)).ok();
     let design = fs::read_to_string(root.join(DESIGN_REL)).ok();
     let gateway = fs::read_to_string(root.join(GATEWAY_REL)).ok();
@@ -613,8 +581,6 @@ pub fn check_workspace(root: &Path) -> Vec<Diagnostic> {
     check(
         PROTO_REL,
         &proto,
-        CODEC_REL,
-        &codec,
         BINPROTO_REL,
         binproto.as_deref(),
         DESIGN_REL,
@@ -665,30 +631,18 @@ impl Response {\n\
 fn encode(r: &Request) { match r { Request::Alpha(_) => (), Request::Beta => (), } }\n\
 fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
 
-    fn codec(arms: &str) -> String {
-        format!("fn parse(kind: &str) -> Option<Request> {{\n    match kind {{\n{arms}        _ => None,\n    }}\n}}\nfn write(r: &Response) {{ match r {{ Response::Ok => (), }} }}\n")
-    }
-
-    fn check_all(
-        proto: &str,
-        codec: &str,
-        bin: Option<&str>,
-        design: Option<&str>,
-    ) -> Vec<Diagnostic> {
-        check("p.rs", proto, "c.rs", codec, "b.rs", bin, "D.md", design, "g.rs", None, "j.rs", None)
+    fn check_all(proto: &str, bin: Option<&str>, design: Option<&str>) -> Vec<Diagnostic> {
+        check("p.rs", proto, "b.rs", bin, "D.md", design, "g.rs", None, "j.rs", None)
     }
 
     #[test]
     fn gateway_must_dispatch_every_request_kind() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
         // Full dispatch (variant mentions) is clean.
         let gw =
             "fn route(r: &Request) { match r { Request::Alpha(_) => (), Request::Beta => (), } }\n";
         let d = check(
             "p.rs",
             PROTO,
-            "c.rs",
-            &c,
             "b.rs",
             Some(BINPROTO),
             "D.md",
@@ -705,8 +659,6 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
         let d = check(
             "p.rs",
             PROTO,
-            "c.rs",
-            &c,
             "b.rs",
             Some(BINPROTO),
             "D.md",
@@ -727,8 +679,6 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
         let d = check(
             "p.rs",
             PROTO,
-            "c.rs",
-            &c,
             "b.rs",
             Some(BINPROTO),
             "D.md",
@@ -743,7 +693,6 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
 
     #[test]
     fn journal_record_table_must_match_the_constants() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
         let journal = "pub const REC_META: u8 = 0x01;\npub const REC_REPORT: u8 = 0x02;\n";
         let table =
             |rows: &str| format!("{DESIGN_OK}\n| tag | record | payload |\n|---|---|---|\n{rows}");
@@ -752,8 +701,6 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
             check(
                 "p.rs",
                 PROTO,
-                "c.rs",
-                &c,
                 "b.rs",
                 Some(BINPROTO),
                 "D.md",
@@ -791,68 +738,53 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
 
     #[test]
     fn agreeing_views_are_clean() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
-        let d = check_all(PROTO, &c, Some(BINPROTO), Some(DESIGN_OK));
+        let d = check_all(PROTO, Some(BINPROTO), Some(DESIGN_OK));
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
-    fn missing_codec_arm_is_drift() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n");
-        let d = check_all(PROTO, &c, Some(BINPROTO), Some(DESIGN_OK));
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, Rule::ProtocolDrift);
-        assert!(d[0].message.contains("\"beta\""), "{}", d[0].message);
-        assert_eq!(d[0].file, "c.rs");
-    }
-
-    #[test]
     fn variant_mention_counts_as_explicit_decline() {
-        let c = codec(
-            "        \"alpha\" => Some(Request::Alpha(x)),\n        Request::Beta => None,\n",
-        );
-        let d = check_all(PROTO, &c, Some(BINPROTO), Some(DESIGN_OK));
+        let bin = "fn encode(r: &Request) { match r { Request::Alpha(_) => (), Request::Beta => return None, } }\n\
+                   fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
+        let d = check_all(PROTO, Some(bin), Some(DESIGN_OK));
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn test_code_does_not_count_as_coverage() {
-        let c = format!(
-            "{}\n#[cfg(test)]\nmod t {{\n    fn f() {{ let x = \"beta\"; }}\n}}\n",
-            codec("        \"alpha\" => Some(Request::Alpha(x)),\n")
-        );
-        let d = check_all(PROTO, &c, Some(BINPROTO), Some(DESIGN_OK));
+        let bin = "fn encode(r: &Request) { match r { Request::Alpha(_) => (), } }\n\
+                   fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n\
+                   #[cfg(test)]\nmod t {\n    fn f() { let x = \"beta\"; }\n}\n";
+        let d = check_all(PROTO, Some(bin), Some(DESIGN_OK));
         assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].file, "b.rs");
     }
 
     #[test]
     fn design_table_must_cover_and_not_invent_kinds() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
         let missing = "| `alpha` | request | a |\n| `ok` | response | none |\n";
-        let d = check_all(PROTO, &c, Some(BINPROTO), Some(missing));
+        let d = check_all(PROTO, Some(BINPROTO), Some(missing));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("lacks a row"), "{}", d[0].message);
 
         let ghost = format!("{DESIGN_OK}| `ghost` | request | ? |\n");
-        let d = check_all(PROTO, &c, Some(BINPROTO), Some(&ghost));
+        let d = check_all(PROTO, Some(BINPROTO), Some(&ghost));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("does not exist"), "{}", d[0].message);
     }
 
     #[test]
     fn no_table_at_all_is_one_finding() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
-        let d = check_all(PROTO, &c, Some(BINPROTO), Some("prose only\n"));
+        let d = check_all(PROTO, Some(BINPROTO), Some("prose only\n"));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("no wire-protocol table"));
     }
 
     #[test]
     fn missing_binary_arm_is_drift() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
         let bin = "fn encode(r: &Request) { match r { Request::Alpha(_) => (), } }\n\
                    fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
-        let d = check_all(PROTO, &c, Some(bin), Some(DESIGN_OK));
+        let d = check_all(PROTO, Some(bin), Some(DESIGN_OK));
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].file, "b.rs");
         assert!(d[0].message.contains("binary"), "{}", d[0].message);
@@ -864,15 +796,13 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
         // BINPROTO in the agreeing tests covers by variant mention; a
         // bare kind string (an explicit textual decline) works too.
         let bin = "fn enc() { let _ = (\"alpha\", \"beta\", \"ok\"); }\n";
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
-        let d = check_all(PROTO, &c, Some(bin), Some(DESIGN_OK));
+        let d = check_all(PROTO, Some(bin), Some(DESIGN_OK));
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn missing_binary_codec_file_is_drift() {
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n        \"beta\" => Some(Request::Beta),\n");
-        let d = check_all(PROTO, &c, None, Some(DESIGN_OK));
+        let d = check_all(PROTO, None, Some(DESIGN_OK));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("binary codec is missing"), "{}", d[0].message);
         assert_eq!(d[0].file, "b.rs");
@@ -881,8 +811,7 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
     #[test]
     fn variant_without_kind_tag_is_drift() {
         let proto = "pub enum Request {\n    Alpha(Alpha),\n    Ghost,\n}\nimpl Request {\n    pub fn kind(&self) -> &'static str {\n        match self {\n            Request::Alpha(_) => \"alpha\",\n        }\n    }\n}\n";
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n");
-        let d = check_all(proto, &c, Some("fn e(r: &Request) { match r { Request::Alpha(_) => (), Request::Ghost => (), } }\n"), None);
+        let d = check_all(proto, Some("fn e(r: &Request) { match r { Request::Alpha(_) => (), Request::Ghost => (), } }\n"), None);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("Ghost"), "{}", d[0].message);
         assert_eq!(d[0].file, "p.rs");
@@ -891,8 +820,7 @@ fn encode_resp(r: &Response) { match r { Response::Ok => (), } }\n";
     #[test]
     fn disagreeing_tags_inside_proto_are_drift() {
         let proto = "pub enum Request {\n    Alpha(Alpha),\n}\nimpl Request {\n    pub fn kind(&self) -> &'static str {\n        match self {\n            Request::Alpha(_) => \"alpha\",\n        }\n    }\n    pub fn to_value(&self) {\n        match self {\n            Request::Alpha(p) => tagged(\"alfa\", p),\n        }\n    }\n}\n";
-        let c = codec("        \"alpha\" => Some(Request::Alpha(x)),\n");
-        let d = check_all(proto, &c, Some("fn e(r: &Request) { match r { Request::Alpha(_) => (), Request::Ghost => (), } }\n"), None);
+        let d = check_all(proto, Some("fn e(r: &Request) { match r { Request::Alpha(_) => (), Request::Ghost => (), } }\n"), None);
         assert!(d.iter().any(|d| d.message.contains("drifted")), "{d:?}");
     }
 }

@@ -16,7 +16,7 @@
 //! each loop keeps a core-local replica of the machines reported on it,
 //! and metrics are lock-free atomics, so warm predictions take no lock
 //! and `stats` never blocks the request path. The wire surface
-//! (request/response types, JSON fast path, binary codec) lives in the
+//! (request/response types, serde JSON, binary codec) lives in the
 //! shared [`proto`] crate and is re-exported here under its historical
 //! paths; see [`service`] for the request handler and sharding,
 //! [`reactor`]/[`server`]/[`client`] for transport, and [`metrics`] for

@@ -14,11 +14,11 @@
 //! **The reactor owns the wire format.** The first byte of a connection
 //! picks the codec: the binary [`binproto::MAGIC`] byte (which can never
 //! start a JSON line) routes it to the length-prefixed frame loop,
-//! anything else to newline-delimited JSON, parsed by the specialized
-//! [`codec`] fast path with a serde fallback. Over-long lines and
-//! frames are answered with an `error` and skipped, and the connection
-//! stays up. A daemon plugs in through [`Handler`]: per-worker state
-//! and one call from a decoded request to its response.
+//! anything else to newline-delimited JSON, which serde parses and
+//! writes. Over-long lines and frames are answered with an `error` and
+//! skipped, and the connection stays up. A daemon plugs in through
+//! [`Handler`]: per-worker state and one call from a decoded request to
+//! its response.
 //!
 //! **Backpressure and stalls.** A connection whose unsent replies pass
 //! a high-water mark stops being read until the peer drains them. A
@@ -41,12 +41,12 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::binproto;
 use crate::poll::{
     bind_reuseport, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::proto::{Request, Response};
 use crate::server::ServerConfig;
-use crate::{binproto, codec};
 
 /// Reads per readiness wakeup go through this per-loop scratch buffer.
 const SCRATCH_BYTES: usize = 64 * 1024;
@@ -76,20 +76,14 @@ pub trait Handler: Sync {
 /// Answers one JSON request line (without its newline) and appends the
 /// response line, newline included, to `out`. Malformed input yields an
 /// `error` response, never a dropped connection. Returns the shutdown
-/// flag. The specialized codec takes the hot request kinds without a
-/// value tree; anything it declines goes through serde, which owns
+/// flag. Serde parses the line and writes the reply; it owns
 /// acceptance and error wording.
 pub fn respond_line<H: Handler>(h: &H, line: &str, out: &mut String, w: &mut H::Worker) -> bool {
-    let (resp, shutdown) = match codec::parse_request(line) {
-        Some(req) => h.serve_request(&req, w),
-        None => match serde_json::from_str::<Request>(line) {
-            Ok(req) => h.serve_request(&req, w),
-            Err(e) => (Response::error(format!("bad request: {e}")), false),
-        },
+    let (resp, shutdown) = match serde_json::from_str::<Request>(line) {
+        Ok(req) => h.serve_request(&req, w),
+        Err(e) => (Response::error(format!("bad request: {e}")), false),
     };
-    if !codec::write_response(&resp, out) {
-        serde_json::to_string_into(&resp, out);
-    }
+    serde_json::to_string_into(&resp, out);
     out.push('\n');
     shutdown
 }

@@ -197,3 +197,34 @@ fn malformed_responses_are_rejected() {
         assert!(serde_json::from_str::<Response>(bad).is_err(), "accepted: {bad}");
     }
 }
+
+#[test]
+fn fields_parse_in_any_order_with_whitespace_around_tokens() {
+    let line = " { \"at\" : 2.5 , \"machine\" : \"m9\" , \"comm_frac\" : -1.0 ,\
+                \"load\" : 3.0 , \"kind\" : \"load_report\" } ";
+    let req: Request = serde_json::from_str(line).expect(line);
+    let want = LoadReport { machine: "m9".to_string(), at: 2.5, load: 3.0, comm_frac: -1.0 };
+    assert_eq!(req, Request::LoadReport(want));
+}
+
+#[test]
+fn escaped_machine_name_roundtrips() {
+    let line = "{\"kind\":\"load_report\",\"machine\":\"we\\\"ird\\\\name\",\
+                \"at\":1.0,\"load\":1.0,\"comm_frac\":0.0}";
+    let req: Request = serde_json::from_str(line).expect(line);
+    let Request::LoadReport(r) = &req else { panic!("want load_report, got {req:?}") };
+    assert_eq!(r.machine, "we\"ird\\name");
+    assert_eq!(serde_json::to_string(&req).expect("encode"), line);
+}
+
+#[test]
+fn bytes_trailing_the_object_are_rejected() {
+    for bad in ["{\"kind\":\"stats\"} x", "{\"kind\":\"stats\"}{}", "{\"kind\":\"shutdown\"},"] {
+        assert!(serde_json::from_str::<Request>(bad).is_err(), "accepted: {bad}");
+    }
+    // Trailing whitespace is not garbage.
+    assert_eq!(
+        serde_json::from_str::<Request>("{\"kind\":\"stats\"} \t").ok(),
+        Some(Request::Stats)
+    );
+}
