@@ -15,10 +15,12 @@ use std::net::{TcpStream, ToSocketAddrs};
 use crate::binproto;
 use crate::proto::{Request, Response};
 
-/// Largest reply frame the client will accept. The daemon's default
-/// request limit is 1 MiB (`ServerConfig::max_frame_bytes`); 16 MiB
-/// leaves headroom for large responses while keeping a corrupt or
-/// hostile length word from forcing a multi-gigabyte allocation.
+/// Largest reply frame, or reply line (newline excluded), the client
+/// will accept. The daemon's default request limit is 1 MiB
+/// (`ServerConfig::max_frame_bytes`); 16 MiB leaves headroom for large
+/// responses while keeping a corrupt or hostile length word, or a peer
+/// that never sends a newline, from growing the client's buffer without
+/// bound.
 pub const MAX_REPLY_FRAME_BYTES: usize = 16 << 20;
 
 /// What can go wrong talking to the daemon.
@@ -202,11 +204,19 @@ impl Client {
 
     /// Reads one raw response line into `reply` (cleared first),
     /// reusing the caller's buffer. The trailing newline is trimmed.
+    /// Lines longer than [`MAX_REPLY_FRAME_BYTES`] are rejected once
+    /// that many bytes have arrived without a newline.
     pub fn recv_raw_into(&mut self, reply: &mut String) -> Result<(), ClientError> {
         reply.clear();
-        let n = self.reader.read_line(reply)?;
+        let cap = u64::try_from(MAX_REPLY_FRAME_BYTES + 1).unwrap_or(u64::MAX);
+        let n = (&mut self.reader).take(cap).read_line(reply)?;
         if n == 0 {
             return Err(ClientError::Protocol("connection closed by daemon".to_string()));
+        }
+        if n > MAX_REPLY_FRAME_BYTES && !reply.ends_with('\n') {
+            return Err(ClientError::Protocol(format!(
+                "reply line exceeds the {MAX_REPLY_FRAME_BYTES}-byte limit"
+            )));
         }
         reply.truncate(reply.trim_end().len());
         Ok(())
