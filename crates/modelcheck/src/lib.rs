@@ -26,7 +26,8 @@
 //! ```
 //!
 //! [`scan_workspace`] discovers every `Cargo.toml` under the root
-//! (skipping `vendor/`, `target/`, `.git/`, `fixtures/`), reads the
+//! (skipping `vendor/`, `target/`, `.git/`, `fixtures/`, and the
+//! benchmark's build directory `.bench_build/`), reads the
 //! crate root's pragma, and applies the named rules to that crate's
 //! `src/` tree. A crate with no pragma gets only the global rules. A
 //! pragma naming an unknown rule is itself a diagnostic (`pragma`), so
@@ -574,9 +575,11 @@ fn render_summaries(
 }
 
 /// Directory names never descended into.
-const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", "fixtures"];
+const SKIP_DIRS: [&str; 5] = ["vendor", "target", ".git", "fixtures", ".bench_build"];
 
 /// Walks every file under `dir` (skip-dirs excluded) in sorted order.
+/// Only directories found below `dir` are matched against the skip
+/// list, so a `dir` whose own path runs through one is still walked.
 pub fn walk_by<F: FnMut(&Path)>(dir: &Path, visit: &mut F) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
@@ -666,7 +669,7 @@ pub struct ScanStats {
 }
 
 /// Scans every `.rs` file under `root` (skipping `vendor/`, `target/`,
-/// `.git/`, and `fixtures/`), scoping each file by its owning crate's
+/// `.git/`, `fixtures/`, and `.bench_build/`), scoping each file by its owning crate's
 /// root pragma, runs the cross-file protocol-drift pass, and returns
 /// all diagnostics ordered by path and line. Baseline status is *not*
 /// applied here — see [`baseline::mark`].

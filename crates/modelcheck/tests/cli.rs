@@ -243,6 +243,33 @@ fn lexer_handles_every_workspace_file() {
     assert!(checked > 50, "walked only {checked} files under {}", root.display());
 }
 
+/// The benchmark's build directory holds extracted copies of
+/// modelcheck's own sources; a scan of the checkout must not walk them,
+/// but a root that itself sits inside one (the benchmark scans its
+/// pinned tree there) must still be walked.
+#[test]
+fn walk_skips_bench_build_below_the_root_but_not_above_it() {
+    let dir = std::env::temp_dir().join(format!("modelcheck-skip-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let inner = dir.join(".bench_build").join("tree");
+    fs::create_dir_all(&inner).expect("mkdir");
+    fs::write(dir.join("top.rs"), "fn a() {}\n").expect("write");
+    fs::write(dir.join(".bench_build").join("x.rs"), "fn b() {}\n").expect("write");
+    fs::write(inner.join("y.rs"), "fn c() {}\n").expect("write");
+    let names = |root: &Path| {
+        let mut seen = Vec::new();
+        walk_by(root, &mut |p: &Path| {
+            seen.push(p.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string());
+        });
+        seen
+    };
+    let from_top = names(&dir);
+    let from_inside = names(&inner);
+    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(from_top, ["top.rs"]);
+    assert_eq!(from_inside, ["y.rs"]);
+}
+
 /// The acceptance scenario for protocol drift: adding a variant to the
 /// real proto.rs without touching binproto.rs, DESIGN.md or gateway.rs
 /// must fail the scan.
