@@ -669,9 +669,9 @@ pub struct ScanStats {
 }
 
 /// Scans every `.rs` file under `root` (skipping `vendor/`, `target/`,
-/// `.git/`, `fixtures/`, and `.bench_build/`), scoping each file by its owning crate's
-/// root pragma, runs the cross-file protocol-drift pass, and returns
-/// all diagnostics ordered by path and line. Baseline status is *not*
+/// `.git/`, `fixtures/`, and `.bench_build/`), scoping each file by its
+/// owning crate's root pragma, runs the cross-file protocol-drift pass,
+/// and returns all diagnostics ordered by path and line. Baseline status is *not*
 /// applied here — see [`baseline::mark`].
 pub fn scan_workspace(root: &Path) -> Vec<Diagnostic> {
     scan_workspace_with_stats(root).0
