@@ -651,8 +651,8 @@ pub fn discover_crates(root: &Path) -> (Vec<CrateScope>, Vec<Diagnostic>) {
     (crates, diags)
 }
 
-/// Aggregate size/shape numbers from a workspace scan, recorded in
-/// `BENCH_model_eval.json` so analyzer growth is tracked across PRs.
+/// Aggregate size/shape numbers from a workspace scan, printed on the
+/// CLI's stderr summary line so analyzer growth shows on every run.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanStats {
     /// `.rs` files scanned.

@@ -17,6 +17,12 @@
 //! non-baselined rule fires, 2 on usage errors — so CI can gate on it
 //! directly.
 //!
+//! After a human or `--emit github` run, one summary line goes to
+//! stderr: the new and baselined finding counts, then the scan's size
+//! as `files= graph_nodes= graph_edges= ambiguous_calls= allow_sites=`
+//! (see `modelcheck::ScanStats`). `--emit json` prints no summary, so
+//! its stdout stays one JSON array.
+//!
 //! ## `--emit json` output schema
 //!
 //! One JSON array of finding objects, sorted by (file, line, col).
@@ -159,7 +165,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut diags = modelcheck::scan_workspace(&root);
+    let (mut diags, stats) = modelcheck::scan_workspace_with_stats(&root);
 
     if fix_baseline {
         let text = modelcheck::baseline::render(&diags);
@@ -185,6 +191,10 @@ fn main() -> ExitCode {
         stale = modelcheck::baseline::mark(&mut diags, &entries);
     }
     let new = diags.iter().filter(|d| !d.baselined).count();
+    let sizes = format!(
+        "files={} graph_nodes={} graph_edges={} ambiguous_calls={} allow_sites={}",
+        stats.files, stats.graph_nodes, stats.graph_edges, stats.ambiguous_calls, stats.allow_sites
+    );
 
     match emit {
         Emit::Json => println!("{}", modelcheck::to_json(&diags)),
@@ -202,7 +212,7 @@ fn main() -> ExitCode {
                 );
             }
             eprintln!(
-                "modelcheck: {new} new diagnostic{}, {} baselined",
+                "modelcheck: {new} new diagnostic{}, {} baselined; {sizes}",
                 if new == 1 { "" } else { "s" },
                 diags.len() - new
             );
@@ -216,7 +226,7 @@ fn main() -> ExitCode {
                 }
             }
             eprintln!(
-                "modelcheck: {} new diagnostic{}, {} baselined, in {}",
+                "modelcheck: {} new diagnostic{}, {} baselined, in {}; {sizes}",
                 new,
                 if new == 1 { "" } else { "s" },
                 diags.len() - new,

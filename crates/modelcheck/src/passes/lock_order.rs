@@ -199,7 +199,7 @@ fn class_of_receiver(toks: &[&Token<'_>], k: usize) -> String {
 
 /// True when the receiver chain ending right before the `.` at
 /// `toks[k - 1]` starts at `self` (so the lock is a field of the
-/// object, not a parameter — the guard-returning-helper criterion).
+/// object, not a parameter — the guard-returning-helper test).
 fn receiver_is_self_field(toks: &[&Token<'_>], k: usize) -> bool {
     if k < 2 {
         return false;

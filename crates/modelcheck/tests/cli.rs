@@ -87,11 +87,24 @@ fn seeded_violations_are_all_found() {
 
 #[test]
 fn binary_exits_nonzero_on_seeded_tree() {
-    let status = Command::new(env!("CARGO_BIN_EXE_modelcheck"))
+    let out = Command::new(env!("CARGO_BIN_EXE_modelcheck"))
         .arg(fixture_root())
-        .status()
+        .output()
         .expect("spawn modelcheck");
-    assert_eq!(status.code(), Some(1));
+    assert_eq!(out.status.code(), Some(1));
+    // The stderr summary line carries the library's scan size.
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    let summary = stderr.lines().find(|l| l.contains(" new diagnostic")).expect("summary line");
+    let (_, s) = modelcheck::scan_workspace_with_stats(fixture_root());
+    for (name, value) in [
+        ("files", s.files),
+        ("graph_nodes", s.graph_nodes),
+        ("graph_edges", s.graph_edges),
+        ("ambiguous_calls", s.ambiguous_calls),
+        ("allow_sites", s.allow_sites),
+    ] {
+        assert!(summary.contains(&format!(" {name}={value}")), "{name}={value} not in {summary}");
+    }
 }
 
 #[test]

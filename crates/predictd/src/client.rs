@@ -1,6 +1,6 @@
 //! A small blocking client for the predictd wire protocol, used by
-//! `predictctl`, the integration tests, the CI smoke job, and the
-//! `loadgen` traffic generator.
+//! `predictctl`, the integration tests, the CI smoke jobs, and the
+//! benchmark.
 //!
 //! Besides the one-request-at-a-time [`Client::request`] path, the
 //! client exposes a split pipelined surface — queue lines with

@@ -2,8 +2,8 @@
 //!
 //! The shared protocol crate: everything a process needs to *speak*
 //! predictd without *being* predictd. The daemon, the gateway tier
-//! ([`predictgw`]), the client library, the `loadgen` traffic
-//! generator, and the tests all meet here, so a wire change is one
+//! ([`predictgw`]), the client library, the benchmark, and the tests
+//! all meet here, so a wire change is one
 //! diff reviewed in one place — and the `modelcheck` protocol-drift
 //! pass (which cross-references [`proto`], [`binproto`], the
 //! gateway's dispatch, and the DESIGN.md §8 wire table) follows these
